@@ -41,8 +41,10 @@ test:
 
 # check is the pre-merge gate: static analysis, a fast race pass over the
 # sharded store (the most concurrency-sensitive package), the race
-# detector over the whole module (daemons included), and the
-# observability and cluster-observatory smoke tests.
+# detector over the whole module (daemons included), the observability
+# and cluster-observatory smoke tests, and the replication benchmark's
+# own module (perfbench/ has its own go.mod, so ./... never builds it):
+# vetted and self-tested so a facade change cannot break it silently.
 check:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 ./internal/store/...
@@ -51,6 +53,7 @@ check:
 	$(MAKE) obs-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) bench-smoke
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # obs-smoke boots a 3-daemon gossipd cluster on ephemeral ports, scrapes
 # every replica's /metrics, /healthz, /events, /metrics/history and

@@ -205,6 +205,8 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 		Site:   epidemic.SiteID(cfg.site),
 		Logger: logger,
 		Rumor:  epidemic.RumorConfig{K: cfg.k, Counter: true, Feedback: true, Mode: epidemic.PushPull},
+		// TCP peers ignore Strategy and Tau: their round 0 compares
+		// checksums as of a cut and ships no recent-update list.
 		Resolve: epidemic.ResolveConfig{
 			Mode:              epidemic.PushPull,
 			Strategy:          epidemic.CompareRecent,

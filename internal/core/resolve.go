@@ -61,11 +61,15 @@ type ResolveConfig struct {
 	// Mode is push, pull, or push-pull. Strategies other than CompareFull
 	// are inherently bidirectional and require PushPull.
 	Mode Mode
-	// Strategy picks the difference-detection scheme.
+	// Strategy picks the difference-detection scheme for in-process
+	// exchanges; the TCP transport always runs its own (see Tau).
 	Strategy CompareStrategy
 	// Tau is the recent-update window for CompareRecent: updates are
 	// expected to reach all sites within Tau (§1.3). Poorly chosen Tau
-	// degrades to full comparisons, exactly as the paper warns.
+	// degrades to full comparisons, exactly as the paper warns. It applies
+	// to in-process exchanges (ResolveDifference, LocalPeer, the
+	// simulator). The TCP transport ignores it, as it ignores Strategy:
+	// its round 0 compares checksums as of a cut and ships no recent list.
 	Tau int64
 	// Tau1 is the death-certificate dormancy threshold: dormant
 	// certificates do not propagate during anti-entropy (§2.2) and are

@@ -161,7 +161,10 @@ type Stats struct {
 	RumorRuns       int `json:"rumor_runs"`
 	// EntriesSent and EntriesReceived aggregate exchange traffic by
 	// direction (outbound from this node vs inbound to it); EntriesApplied
-	// counts the transfers that changed a replica.
+	// counts the anti-entropy transfers that changed a replica: both
+	// replicas of the conversations this node starts, and this replica in
+	// the conversations a remote peer starts. Mail and rumor applies are
+	// not counted here.
 	EntriesSent     int `json:"entries_sent"`
 	EntriesReceived int `json:"entries_received"`
 	EntriesApplied  int `json:"entries_applied"`
@@ -560,14 +563,18 @@ func hopAt(hops []trace.Hop, i int) trace.Hop {
 
 // ApplyRepair applies one entry received through a remotely initiated
 // anti-entropy conversation (the transport server's sync requests),
-// emitting EventApply when it changes this replica. from identifies the
-// initiating site, hop its provenance envelope for the entry, and mech the
-// anti-entropy sub-mechanism (MechAntiEntropy or MechPeelBack). Unlike
-// HandleMail the entry does not become a hot rumor: redistribution of
-// repaired updates is the initiator's policy decision (§1.5).
+// counting it in Stats().EntriesApplied and emitting EventApply when it
+// changes this replica. from identifies the initiating site, hop its
+// provenance envelope for the entry, and mech the anti-entropy
+// sub-mechanism (MechAntiEntropy or MechPeelBack). Unlike HandleMail the
+// entry does not become a hot rumor: redistribution of repaired updates is
+// the initiator's policy decision (§1.5).
 func (n *Node) ApplyRepair(e store.Entry, from timestamp.SiteID, hop trace.Hop, mech trace.Mechanism) store.ApplyResult {
 	res := n.store.Apply(e)
 	if res.Changed() {
+		n.mu.Lock()
+		n.stats.EntriesApplied++
+		n.mu.Unlock()
 		src := from
 		if hop.Valid {
 			src = hop.Parent

@@ -208,6 +208,25 @@ func TestAntiEntropyRepairs(t *testing.T) {
 	}
 }
 
+// TestApplyRepairCountsResponderApplies: entries a remote initiator ships
+// during an exchange it started count toward the responder's
+// EntriesApplied exactly when they change its replica.
+func TestApplyRepairCountsResponderApplies(t *testing.T) {
+	a, b, _ := twoNodes(t, nil)
+	shipped := []store.Entry{
+		b.Store().Update("r1", store.Value("1")),
+		b.Store().Update("r2", store.Value("2")),
+		b.Store().Update("r3", store.Value("3")),
+	}
+	shipped = append(shipped, shipped[0]) // a duplicate changes nothing
+	for _, e := range shipped {
+		a.ApplyRepair(e, b.Site(), trace.Hop{}, trace.MechPeelBack)
+	}
+	if st := a.Stats(); st.EntriesApplied != 3 || st.AntiEntropyRuns != 0 {
+		t.Errorf("responder stats after a peer-started exchange: %+v, want 3 applied and no runs", st)
+	}
+}
+
 func TestAntiEntropyRedistributesAsRumor(t *testing.T) {
 	a, b, _ := twoNodes(t, func(c *Config) { c.Redistribution = core.RedistributeRumor })
 	// Simulate an update that reached b but is no longer hot anywhere.

@@ -308,17 +308,18 @@ func (ox *outbox) worker() {
 			continue
 		}
 		ox.inflight++
+		peer := q.peer // setPeers may swap it once ox.mu is released
 		ox.mu.Unlock()
 
-		sent, failed, err := sendBatch(q.peer, batch)
+		sent, failed, err := sendBatch(peer, batch)
 		ox.batches.Add(1)
-		ox.node.noteMailResult(q.peer.ID(), sent, failed, err)
+		ox.node.noteMailResult(peer.ID(), sent, failed, err)
 
 		ox.mu.Lock()
 		ox.inflight--
 		// A replaced queue (membership change mid-send) is abandoned: its
 		// successor schedules itself on the next enqueue.
-		current := ox.queues[q.peer.ID()] == q
+		current := ox.queues[peer.ID()] == q
 		if err != nil {
 			if q.backoff == 0 {
 				q.backoff = ox.cfg.RetryBackoff

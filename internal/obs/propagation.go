@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"container/heap"
 	"sort"
 	"sync"
 )
@@ -26,6 +27,7 @@ type Propagation struct {
 	secondsPerUnit float64
 	hist           *Histogram // optional: observed once per new infection
 	updates        map[string]*track
+	byAge          ageHeap // the same tracks, in eviction order
 	capacity       int
 }
 
@@ -34,8 +36,42 @@ type Propagation struct {
 const DefaultPropagationCap = 1024
 
 type track struct {
+	key       string
 	origin    int64
 	firstSeen map[int32]int64 // site -> stamp-unit time of first infection
+	pos       int             // index in Propagation.byAge
+}
+
+// ageHeap is a min-heap of tracks in eviction order: oldest origin first,
+// ties broken by the smaller key for determinism.
+type ageHeap []*track
+
+func (h ageHeap) Len() int { return len(h) }
+
+func (h ageHeap) Less(i, j int) bool {
+	if h[i].origin != h[j].origin {
+		return h[i].origin < h[j].origin
+	}
+	return h[i].key < h[j].key
+}
+
+func (h ageHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+
+func (h *ageHeap) Push(x any) {
+	tr := x.(*track)
+	tr.pos = len(*h)
+	*h = append(*h, tr)
+}
+
+func (h *ageHeap) Pop() any {
+	old := *h
+	tr := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return tr
 }
 
 // NewPropagation builds a tracker. secondsPerUnit scales stamp units to
@@ -76,18 +112,11 @@ func (p *Propagation) Tracked() int {
 }
 
 // evictLocked drops oldest-origin keys (ties broken by smaller key, for
-// determinism) until the map fits the capacity. Caller holds p.mu.
+// determinism) until the map fits the capacity, O(log n) per victim.
+// Caller holds p.mu.
 func (p *Propagation) evictLocked() {
 	for len(p.updates) > p.capacity {
-		victim := ""
-		var oldest int64
-		first := true
-		for k, tr := range p.updates {
-			if first || tr.origin < oldest || (tr.origin == oldest && k < victim) {
-				victim, oldest, first = k, tr.origin, false
-			}
-		}
-		delete(p.updates, victim)
+		delete(p.updates, heap.Pop(&p.byAge).(*track).key)
 	}
 }
 
@@ -96,10 +125,16 @@ func (p *Propagation) evictLocked() {
 // the existing track.
 func (p *Propagation) ensure(key string, origin int64) *track {
 	tr, ok := p.updates[key]
-	if !ok || origin > tr.origin {
-		tr = &track{origin: origin, firstSeen: make(map[int32]int64)}
+	switch {
+	case !ok:
+		tr = &track{key: key, origin: origin, firstSeen: make(map[int32]int64)}
 		p.updates[key] = tr
+		heap.Push(&p.byAge, tr)
 		p.evictLocked()
+	case origin > tr.origin:
+		tr.origin = origin
+		clear(tr.firstSeen)
+		heap.Fix(&p.byAge, tr.pos)
 	}
 	return tr
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -108,5 +109,42 @@ func TestPropagationHistogramAndSkew(t *testing.T) {
 	}
 	if keys := p.Keys(); len(keys) != 1 || keys[0] != "k" {
 		t.Errorf("keys = %v", keys)
+	}
+}
+
+// TestPropagationEvictionOrder pins the heap's order: ties on origin evict
+// the smaller key, and a re-update moves a key to the back of the line.
+func TestPropagationEvictionOrder(t *testing.T) {
+	p := NewPropagation(1, nil)
+	p.SetCapacity(2)
+	p.Originated("b", 0, 10)
+	p.Originated("a", 0, 10)
+	p.Originated("c", 0, 20) // evicts "a": same origin as "b", smaller key
+	if got := fmt.Sprint(p.Keys()); got != "[b c]" {
+		t.Fatalf("after tie eviction keys = %s, want [b c]", got)
+	}
+	p.Originated("b", 0, 30) // re-update: "c" is now the oldest
+	p.Originated("d", 0, 25)
+	if got := fmt.Sprint(p.Keys()); got != "[b d]" {
+		t.Fatalf("after re-update eviction keys = %s, want [b d]", got)
+	}
+}
+
+// BenchmarkPropagationAdmitAtCapacity admits a new key into a full tracker
+// on every op: the per-update eviction cost a busy daemon pays.
+func BenchmarkPropagationAdmitAtCapacity(b *testing.B) {
+	p := NewPropagation(1, nil)
+	keys := make([]string, 4*DefaultPropagationCap)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d", i)
+	}
+	for i := 0; i < DefaultPropagationCap; i++ {
+		p.Originated(keys[i], 1, int64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := DefaultPropagationCap + i
+		p.Originated(keys[n%len(keys)], 1, int64(n))
 	}
 }

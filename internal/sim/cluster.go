@@ -269,7 +269,7 @@ func (c *Cluster) RefreshDigests() {
 		s := n.Stats()
 		c.digests[i].SetSelf(cluster.Digest{
 			Stamp:     now,
-			StoreKeys: int64(len(st.Keys())),
+			StoreKeys: int64(st.Len()),
 			Checksum:  st.Checksum(),
 			HotRumors: int64(len(n.HotEntries())),
 			Peers:     int64(len(n.Peers())),

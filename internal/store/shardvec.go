@@ -1,6 +1,8 @@
 package store
 
 import (
+	"math"
+
 	"epidemic/internal/timestamp"
 )
 
@@ -16,6 +18,65 @@ func (sh *shard) liveSum(now, tau1 int64) uint64 {
 		}
 	}
 	return sum
+}
+
+// sumAt returns this shard's live checksum as of cut: entries stamped
+// after cut are left out and death certificates are judged dormant at cut.
+// The incremental sum already covers everything, so only the few index
+// records newer than cut are hashed back out. None of them can be dormant
+// at cut: a certificate's activation is never older than its stamp. Caller
+// holds sh.mu (read suffices).
+func (sh *shard) sumAt(cut, tau1 int64) uint64 {
+	sum := sh.liveSum(cut, tau1)
+	for k := len(sh.index.keys) - 1; k >= 0 && sh.index.keys[k].stamp.Time > cut; k-- {
+		sum ^= sh.entries[sh.index.keys[k].key].hash()
+	}
+	return sum
+}
+
+// CutBound is the exclusive peel bound that starts a reverse-timestamp
+// walk at cut: every entry stamped at or before cut orders strictly before
+// it, and no later entry does.
+func CutBound(cut int64) timestamp.T {
+	return timestamp.T{Time: cut + 1, Site: math.MinInt32}
+}
+
+// ChecksumAt returns the live checksum of the database as of cut: only
+// entries stamped at or before cut count, and dormancy is judged at cut.
+// Two replicas that compare figures at one agreed cut are unaffected by
+// writes landing after it, which is what lets a wire anti-entropy
+// conversation fix its target at round 0.
+func (s *Store) ChecksumAt(cut, tau1 int64) uint64 {
+	var sum uint64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		sum ^= sh.sumAt(cut, tau1)
+		sh.mu.RUnlock()
+	}
+	return sum
+}
+
+// AppendChecksumVectorAt appends the per-shard checksums as of cut (see
+// ChecksumAt) to dst and returns the extended slice; XOR-folding the
+// appended words reproduces ChecksumAt.
+func (s *Store) AppendChecksumVectorAt(dst []uint64, cut, tau1 int64) []uint64 {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		dst = append(dst, sh.sumAt(cut, tau1))
+		sh.mu.RUnlock()
+	}
+	return dst
+}
+
+// ChecksumShardAt returns shard i's checksum as of cut. Like slice
+// indexing, i must be in [0, ShardCount()).
+func (s *Store) ChecksumShardAt(i int, cut, tau1 int64) uint64 {
+	sh := &s.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.sumAt(cut, tau1)
 }
 
 // ChecksumVector returns the per-shard live checksums (dormant death

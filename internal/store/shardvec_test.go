@@ -172,3 +172,74 @@ func TestCollectMergedScratchPooled(t *testing.T) {
 		t.Errorf("empty OlderThan allocates %.1f/op with pooled scratch, want 0", avg)
 	}
 }
+
+// TestChecksumAtMatchesStoreCutAtCut: the figures as of a cut equal those
+// of a store that only ever received the entries stamped at or before it,
+// whatever was written after it — new keys, overwrites and deletions.
+func TestChecksumAtMatchesStoreCutAtCut(t *testing.T) {
+	const tau1 = 40
+	st, src := buildShardVecStore(t, 8, 200)
+	cut := src.Read()
+	st.Update("at-cut", Value("v")) // stamped exactly at the cut: inside it
+	early := st.Snapshot()
+	src.Advance(1)
+	for i := 0; i < 30; i++ {
+		st.Update(fmt.Sprintf("late%02d", i), Value("new"))
+		st.Update(fmt.Sprintf("sv%04d", i*5+1), Value("overwritten"))
+		st.Delete(fmt.Sprintf("sv%04d", i*5+2), nil)
+		src.Advance(1)
+	}
+	// The reference store holds what st held at the cut, minus the keys
+	// written after it: those are out of the cut view on both sides.
+	ref := NewSharded(2, src.ClockAt(2), 8)
+	for _, e := range early {
+		if ts, _ := st.Stamp(e.Key); ts.Time <= cut {
+			ref.Apply(e)
+		}
+	}
+	if got, want := st.ChecksumAt(cut, tau1), ref.ChecksumLive(cut, tau1); got != want {
+		t.Errorf("ChecksumAt = %#x, reference = %#x", got, want)
+	}
+	vec := st.AppendChecksumVectorAt(nil, cut, tau1)
+	want := ref.ChecksumVector(cut, tau1)
+	var fold uint64
+	for i := range vec {
+		fold ^= vec[i]
+		if vec[i] != want[i] {
+			t.Errorf("shard %d: vector at cut = %#x, reference = %#x", i, vec[i], want[i])
+		}
+		if got := st.ChecksumShardAt(i, cut, tau1); got != vec[i] {
+			t.Errorf("shard %d: ChecksumShardAt = %#x, vector = %#x", i, got, vec[i])
+		}
+	}
+	if fold != st.ChecksumAt(cut, tau1) {
+		t.Error("vector at cut does not fold to ChecksumAt")
+	}
+}
+
+// TestCutBoundStartsWalkAtCut: a peel walk from CutBound(cut) visits
+// exactly the entries stamped at or before cut.
+func TestCutBoundStartsWalkAtCut(t *testing.T) {
+	st, src := buildShardVecStore(t, 4, 100)
+	cut := src.Read()
+	st.Update("at-cut", Value("v")) // stamped exactly at the cut: inside it
+	for i := 0; i < 10; i++ {
+		src.Advance(1)
+		st.Update(fmt.Sprintf("late%02d", i), Value("new"))
+	}
+	seen := 0
+	bound, more := CutBound(cut), true
+	for more {
+		var batch []Entry
+		batch, bound, more = st.PeelBatch(bound, 16, cut, 1<<40)
+		for _, e := range batch {
+			if e.Stamp.Time > cut {
+				t.Fatalf("walk from the cut returned %v stamped after %d", e.Stamp, cut)
+			}
+			seen++
+		}
+	}
+	if want := st.Len() - 10; seen != want {
+		t.Errorf("walk from the cut saw %d entries, want %d", seen, want)
+	}
+}

@@ -200,6 +200,15 @@ func (s *Store) Get(key string) (Entry, bool) {
 	return e.clone(), true
 }
 
+// Stamp returns key's ordinary timestamp without copying the entry.
+func (s *Store) Stamp(key string) (timestamp.T, bool) {
+	sh := s.shardFor(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e, ok := sh.entries[key]
+	return e.Stamp, ok
+}
+
 // Apply merges a remote entry into the store and reports what happened.
 // The merge is the paper's timestamp rule: a larger ordinary timestamp
 // always supersedes a smaller one; equal ordinary timestamps adopt the

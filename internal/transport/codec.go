@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 
 	"epidemic/internal/obs/cluster"
 	"epidemic/internal/obs/trace"
@@ -449,19 +450,20 @@ func (r *wireReader) hops() []trace.Hop {
 	return out
 }
 
-// vector reads a shard-vector section: a count (sanity-checked against
-// the remaining bytes at 8 bytes per element, so a forged length never
-// drives a large allocation) then that many fixed-width checksums.
-func (r *wireReader) vector() []uint64 {
+// vector reads a shard-vector section into dst's backing array (nil when
+// the section is empty): a count (sanity-checked against the remaining
+// bytes at 8 bytes per element, so a forged length never drives a large
+// allocation) then that many fixed-width checksums.
+func (r *wireReader) vector(dst []uint64) []uint64 {
 	n := r.count(8)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.uint64()
+	dst = slices.Grow(dst[:0], n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.uint64())
 	}
-	return out
+	return dst
 }
 
 func (r *wireReader) float64() float64 {
@@ -542,11 +544,14 @@ func decodeRequest(payload []byte, req *request, codec byte) error {
 	if codecHasDigests(codec) {
 		req.Digests = r.digests()
 	}
+	// A vector reuses the target's backing array, so a server session
+	// lending one scratch decodes round 0 without allocating.
+	scratch := req.Vector
 	req.Shard, req.ShardCount, req.Vector = 0, 0, nil
 	if codecHasShards(codec) {
 		req.Shard = int(r.varint())
 		req.ShardCount = int(r.varint())
-		req.Vector = r.vector()
+		req.Vector = r.vector(scratch)
 	}
 	req.MailQueuedNanos, req.MailCoalesced = 0, 0
 	if codecHasMail(codec) {
@@ -592,7 +597,7 @@ func decodeResponse(payload []byte, resp *response, codec byte) error {
 	resp.ShardCount, resp.Vector = 0, nil
 	if codecHasShards(codec) {
 		resp.ShardCount = int(r.varint())
-		resp.Vector = r.vector()
+		resp.Vector = r.vector(nil)
 	}
 	return r.finish()
 }

@@ -109,6 +109,9 @@ type session struct {
 
 	wbuf    []byte // binary encode scratch: [4-byte header | payload]
 	payload []byte // reusable frame payload backing array
+	// vecScratch backs decoded request vectors (server side): a request's
+	// vector lives only while it is dispatched.
+	vecScratch []uint64
 
 	header [frameHeaderLen]byte
 	limit  int // per-frame payload cap
@@ -237,8 +240,12 @@ func (s *session) readRequest(req *request) error {
 		if err != nil {
 			return err
 		}
+		req.Vector = s.vecScratch
 		if err := decodeRequest(payload, req, s.codec); err != nil {
 			return fmt.Errorf("transport: decode request: %w", err)
+		}
+		if cap(req.Vector) > cap(s.vecScratch) {
+			s.vecScratch = req.Vector[:0]
 		}
 		return nil
 	}

@@ -287,11 +287,17 @@ type pool struct {
 }
 
 // shardCapable reports whether the last negotiated session codec supports
-// the shard-vector request kinds. False before the first dial: the caller's
-// round-0 sync request always precedes a shard-vector attempt, so by the
-// time it matters a handshake has happened.
+// the shard-vector section and request kinds. False before the first dial;
+// see negotiated.
 func (p *pool) shardCapable() bool {
 	return codecHasShards(byte(p.codec.Load()))
+}
+
+// negotiated reports whether any handshake has settled a codec yet. Round 0
+// carries its shard vector on speculation until one has, and trusts
+// shardCapable once its own round trip has dialed.
+func (p *pool) negotiated() bool {
+	return p.codec.Load() != 0
 }
 
 // mailCapable reports whether the last negotiated session codec supports

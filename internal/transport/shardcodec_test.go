@@ -9,13 +9,13 @@ import (
 )
 
 // shardRequests are field shapes specific to the codec-v4 shard section:
-// vector swaps, shard-scoped peels, and the zero section every other kind
-// carries on a v4 session.
+// round-0 vectors, shard-scoped peels, and the zero section every other
+// kind carries on a v4 session.
 func shardRequests() []request {
 	return []request{
-		{Kind: reqShardVector, From: 4, Now: 77, Tau1: 9,
+		{Kind: reqSync, From: 4, Now: 77, Tau1: 9, ShardCount: 4,
 			Vector: []uint64{0, 1, ^uint64(0), 0xdeadbeef}},
-		{Kind: reqShardVector, Vector: []uint64{5}},
+		{Kind: reqSync, Vector: []uint64{5}},
 		{Kind: reqPeelBackShard, From: 2, Shard: 13, ShardCount: 16,
 			Bound: timestamp.T{Time: 50, Site: 1, Seq: 2}, Limit: 8},
 		{Kind: reqPeelBackShard, Shard: 1023, ShardCount: 1024},
@@ -138,7 +138,7 @@ func TestCodecShardTruncationEveryPrefix(t *testing.T) {
 // promises far more 8-byte sums than the frame holds; the count-vs-remaining
 // check must refuse it before allocating.
 func TestCodecShardForgedVectorCount(t *testing.T) {
-	req := request{Kind: reqShardVector}
+	req := request{Kind: reqSync}
 	payload := appendRequest(nil, &req, codecBinaryShard)
 	// The encoding ends ...Shard(0) ShardCount(0) vectorCount(0): forge the
 	// final count byte into a huge uvarint.

@@ -21,22 +21,28 @@ import (
 
 // Wire protocol: persistent framed sessions (see frame.go) carrying many
 // request/response pairs per TCP connection. The anti-entropy exchange is
-// the §1.3/§1.5 incremental scheme: the caller ships its recent updates
-// and live checksum; on mismatch the two sides peel back through their
-// databases in reverse-timestamp batches, re-comparing checksums after
-// each batch, so a conversation ships O(δ) entries for δ differing keys.
-// A full database swap survives only as a capped last resort.
+// the §1.3 checksum scheme compared as of a cut. Round 0 (reqSync) fixes
+// the cut c at the initiator's clock reading and swaps live checksums over
+// the entries stamped at or before c; shard-capable sessions fold the
+// per-shard checksum vectors into the same round trip. Agreeing sums end
+// the conversation with no entries shipped. On mismatch the two sides peel
+// back from c through the diverged shards (or, without vectors, the whole
+// database) in reverse-timestamp batches, re-comparing the cut checksums
+// after each batch, so a conversation ships O(δ) entries for δ differing
+// keys. Writes stamped after c never move the target: mail, rumors and
+// the next conversation carry them. No recent-update list crosses the
+// wire. A full database swap survives only as a capped last resort.
 type reqKind int
 
 const (
 	reqMail reqKind = iota + 1
 	reqPushRumors
 	reqPullRumors
-	reqSync          // recent updates + checksum (round 0)
+	reqSync          // round 0: checksum (+ shard vector) as of the cut
 	reqFullSync      // full live-database swap (capped last resort)
-	reqChecksum      // live checksum probe (§1.5 combined scheme)
+	reqChecksum      // live checksum probe (§1.5 combined scheme), or as of a cut
 	reqPeelBack      // one reverse-timestamp batch + checksum re-check (§1.3)
-	reqShardVector   // per-shard live-checksum vector swap (codec v4)
+	_                // reserved: kind numbers are on the wire
 	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum (codec v4)
 	reqMailBatch     // one outbox drain: many mail entries in one frame (codec v5)
 )
@@ -58,8 +64,6 @@ func (k reqKind) kindName() string {
 		return "checksum"
 	case reqPeelBack:
 		return "peel-back"
-	case reqShardVector:
-		return "shard-vector"
 	case reqPeelBackShard:
 		return "peel-back-shard"
 	case reqMailBatch:
@@ -74,9 +78,14 @@ type request struct {
 	From     timestamp.SiteID
 	Entries  []store.Entry
 	Checksum uint64
-	Now      int64
-	Tau      int64 // recent-update window (reqSync)
-	Tau1     int64 // death-certificate dormancy threshold
+	// Now is the conversation's cut on every anti-entropy request: the
+	// initiator's clock reading at round 0. Figures count only entries
+	// stamped at or before it, and dormancy is judged at it.
+	Now int64
+	// Tau is a reserved wire slot, always zero, so the frame layout stays
+	// fixed.
+	Tau  int64
+	Tau1 int64 // death-certificate dormancy threshold
 	// Bound and Limit drive the server's side of the peel-back walk
 	// (reqPeelBack): the server returns up to Limit entries strictly older
 	// than Bound, newest first. The server is stateless across rounds; the
@@ -95,10 +104,9 @@ type request struct {
 	// Shard addresses one lock stripe for reqPeelBackShard; ShardCount is
 	// the sender's store shard count (vector compares and shard walks are
 	// only meaningful between stores with identical key→shard maps).
-	// Vector carries the sender's per-shard live checksums on
-	// reqShardVector. All three ride the codec-v4 trailing section (three
-	// near-zero bytes when unused) or plain gob fields old receivers
-	// ignore.
+	// Vector carries the sender's per-shard checksums as of the cut on
+	// reqSync. All three ride the codec-v4 trailing section (three
+	// near-zero bytes when unused) or plain gob fields.
 	Shard      int
 	ShardCount int
 	Vector     []uint64
@@ -117,7 +125,10 @@ type response struct {
 	Entries  []store.Entry
 	InSync   bool
 	Checksum uint64
-	Now      int64
+	// Now is a reserved wire slot, always zero, so the frame layout stays
+	// fixed: every figure in a conversation is taken at the initiator's
+	// cut.
+	Now int64
 	// Bound and More resume the server's peel-back walk: Bound is the
 	// oldest index record the server examined, More whether records older
 	// than it remain.
@@ -129,10 +140,11 @@ type response struct {
 	// Digests mirrors request.Digests: the responder's view, piggybacked
 	// back so digest exchange is bidirectional like the data exchange.
 	Digests []cluster.Digest
-	// ShardCount and Vector answer reqShardVector with the responder's
-	// shard count and per-shard live checksums. For reqPeelBackShard the
-	// existing Checksum field carries the requested shard's live checksum
-	// instead of the global one.
+	// ShardCount and Vector answer a reqSync that carried a vector: the
+	// responder's shard count, and its per-shard checksums as of the cut
+	// when the global sums disagree. For reqPeelBackShard the Checksum
+	// field carries the requested shard's checksum instead of the global
+	// one.
 	ShardCount int
 	Vector     []uint64
 }
@@ -424,39 +436,11 @@ func (s *Server) dispatch(req request) response {
 		entries, hops := s.node.HotEntriesTraced()
 		return response{Entries: entries, Hops: hops, Digests: s.swapDigests(req.Digests)}
 	case reqSync:
-		st := s.node.Store()
-		for i, e := range req.Entries {
-			s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechAntiEntropy)
-		}
-		now := maxInt64(st.Now(), req.Now)
-		var recent []store.Entry
-		if req.Tau > 0 {
-			recent = st.RecentUpdates(now, req.Tau)
-		}
-		sum := st.ChecksumLive(now, req.Tau1)
-		return response{
-			Entries:  recent,
-			Hops:     s.node.Tracer().Envelopes(recent),
-			Checksum: sum,
-			Now:      now,
-			InSync:   sum == req.Checksum,
-			Digests:  s.swapDigests(req.Digests),
-		}
+		resp := s.compareAt(req)
+		resp.Digests = s.swapDigests(req.Digests)
+		return resp
 	case reqPeelBack:
-		st := s.node.Store()
-		for i, e := range req.Entries {
-			s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechPeelBack)
-		}
-		now := maxInt64(st.Now(), req.Now)
-		batch, next, more := st.PeelBatch(req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
-		return response{
-			Entries:  batch,
-			Hops:     s.node.Tracer().Envelopes(batch),
-			Checksum: st.ChecksumLive(now, req.Tau1),
-			Now:      now,
-			Bound:    next,
-			More:     more,
-		}
+		return s.peel(req, -1)
 	case reqFullSync:
 		st := s.node.Store()
 		for i, e := range req.Entries {
@@ -468,43 +452,96 @@ func (s *Server) dispatch(req request) response {
 			Entries:  full,
 			Hops:     s.node.Tracer().Envelopes(full),
 			Checksum: st.ChecksumLive(now, req.Tau1),
-			Now:      now,
 			InSync:   true,
 		}
 	case reqChecksum:
+		// A plain probe (Peer.Checksum) carries no vector; the recompare
+		// after shard repair carries the initiator's vector at its cut.
+		if len(req.Vector) > 0 {
+			return s.compareAt(req)
+		}
 		st := s.node.Store()
 		return response{Checksum: st.ChecksumLive(st.Now(), req.Tau1)}
-	case reqShardVector:
-		st := s.node.Store()
-		now := maxInt64(st.Now(), req.Now)
-		return response{
-			Checksum:   st.ChecksumLive(now, req.Tau1),
-			Now:        now,
-			ShardCount: st.ShardCount(),
-			Vector:     st.ChecksumVector(now, req.Tau1),
-		}
 	case reqPeelBackShard:
 		st := s.node.Store()
 		if req.ShardCount != st.ShardCount() || req.Shard < 0 || req.Shard >= st.ShardCount() {
 			return response{Err: fmt.Sprintf("shard %d/%d incomparable with local %d shards",
 				req.Shard, req.ShardCount, st.ShardCount())}
 		}
-		for i, e := range req.Entries {
-			s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechPeelBack)
-		}
-		now := maxInt64(st.Now(), req.Now)
-		batch, next, more := st.PeelBatchShard(req.Shard, req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
-		return response{
-			Entries:  batch,
-			Hops:     s.node.Tracer().Envelopes(batch),
-			Checksum: st.ChecksumShard(req.Shard, now, req.Tau1),
-			Now:      now,
-			Bound:    next,
-			More:     more,
-		}
+		return s.peel(req, req.Shard)
 	default:
 		return response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
 	}
+}
+
+// compareAt answers a comparison as of the initiator's cut req.Now (round
+// 0 and the recompares after shard repair): this replica's checksum at the
+// cut, plus its per-shard vector when the sums disagree and the request
+// carried a vector from an identically striped store. ShardCount lets the
+// initiator tell a missing vector from an incomparable one.
+func (s *Server) compareAt(req request) response {
+	st := s.node.Store()
+	sum := st.ChecksumAt(req.Now, req.Tau1)
+	resp := response{Checksum: sum, InSync: sum == req.Checksum}
+	if len(req.Vector) > 0 {
+		resp.ShardCount = st.ShardCount()
+		if !resp.InSync && req.ShardCount == resp.ShardCount {
+			resp.Vector = st.AppendChecksumVectorAt(nil, req.Now, req.Tau1)
+		}
+	}
+	return resp
+}
+
+// peel serves one round of an initiator's peel-back walk as of its cut
+// req.Now, over shard (or the whole database when shard < 0). It applies
+// what the initiator shipped, then answers with the next batch of this
+// replica's own walk, its checksum at the cut, and the local entries past
+// the cut that supersede anything the initiator shipped.
+func (s *Server) peel(req request, shard int) response {
+	st := s.node.Store()
+	cut := req.Now
+	var back []store.Entry
+	for i, e := range req.Entries {
+		if !s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechPeelBack).Changed() {
+			back = appendSupersedingPastCut(back, st, e, cut)
+		}
+	}
+	var (
+		batch []store.Entry
+		next  timestamp.T
+		more  bool
+		sum   uint64
+	)
+	if shard < 0 {
+		batch, next, more = st.PeelBatch(req.Bound, clampPeelLimit(req.Limit), cut, req.Tau1)
+		sum = st.ChecksumAt(cut, req.Tau1)
+	} else {
+		batch, next, more = st.PeelBatchShard(shard, req.Bound, clampPeelLimit(req.Limit), cut, req.Tau1)
+		sum = st.ChecksumShardAt(shard, cut, req.Tau1)
+	}
+	batch = append(batch, back...)
+	return response{
+		Entries:  batch,
+		Hops:     s.node.Tracer().Envelopes(batch),
+		Checksum: sum,
+		Bound:    next,
+		More:     more,
+	}
+}
+
+// appendSupersedingPastCut appends local's entry for e.Key when it is
+// stamped after cut and supersedes e. A peer that ships e lacks that
+// entry, and neither side's walk from the cut would ever carry it, so the
+// key would keep the two cut checksums apart until the walks ran out:
+// shipping it back settles the key on both sides.
+func appendSupersedingPastCut(dst []store.Entry, local *store.Store, e store.Entry, cut int64) []store.Entry {
+	if ts, ok := local.Stamp(e.Key); !ok || ts.Time <= cut || !e.Stamp.Less(ts) {
+		return dst
+	}
+	if cur, ok := local.Get(e.Key); ok {
+		dst = append(dst, cur)
+	}
+	return dst
 }
 
 // swapDigests merges digests a caller piggybacked into this node's
@@ -704,10 +741,23 @@ type wireCall struct {
 	bytesOut, bytesIn int64
 	entryBuf          [1]store.Entry
 	hopBuf            [1]trace.Hop
-	vecBuf            []uint64 // shard-vector scratch (reqShardVector)
+	vecBuf            []uint64 // round-0 shard-vector scratch
 }
 
 var wireCallPool = sync.Pool{New: func() any { return new(wireCall) }}
+
+// setVector puts local's comparison figures as of cut on c.req: the
+// per-shard vector, built in c's scratch, and its XOR fold as the global
+// checksum. It returns the vector.
+func (c *wireCall) setVector(local *store.Store, cut, tau1 int64) []uint64 {
+	vec := local.AppendChecksumVectorAt(c.vecBuf[:0], cut, tau1)
+	c.vecBuf = vec[:0]
+	c.req.ShardCount, c.req.Vector, c.req.Checksum = local.ShardCount(), vec, 0
+	for _, sum := range vec {
+		c.req.Checksum ^= sum
+	}
+	return vec
+}
 
 func getWireCall() *wireCall { return wireCallPool.Get().(*wireCall) }
 
@@ -856,58 +906,64 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 	return c.resp.Checksum, nil
 }
 
-// AntiEntropy implements node.Peer: the §1.3/§1.5 incremental exchange
-// over the wire. Round 0 swaps recent-update lists and compares live
-// checksums; on mismatch the two sides peel back through their databases
-// in reverse-timestamp batches, re-comparing checksums after every batch
-// and stopping as soon as they agree — O(δ) entries shipped for δ
-// differing keys. Only when MaxPeelRounds batches have not reconciled the
-// replicas does the conversation degrade to the full swap.
+// AntiEntropy implements node.Peer: the §1.3 checksum exchange over the
+// wire, compared as of a cut. Round 0 fixes the cut at this replica's
+// clock reading and swaps checksums over the entries stamped at or before
+// it, plus the per-shard vectors on shard-capable sessions; agreeing sums
+// end the conversation with nothing shipped. On mismatch the diverged
+// shards (or, without comparable vectors, the whole database) peel back
+// newest-first from the cut in reverse-timestamp batches, re-comparing the
+// cut checksums after every batch and stopping as soon as they agree —
+// O(δ) entries shipped for δ differing keys. Writes stamped after the cut
+// are left to mail, rumors and the next conversation. Only when
+// MaxPeelRounds batches have not reconciled the replicas does the
+// conversation degrade to the full swap. cfg.Tau and cfg.Strategy do not
+// apply here: the wire path ships no recent-update list and always runs
+// this scheme.
 func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error) {
 	var st core.ExchangeStats
 	c := getWireCall()
 	defer putWireCall(c)
 
-	now := local.Now()
-	var recent []store.Entry
-	if cfg.Tau > 0 {
-		recent = local.RecentUpdates(now, cfg.Tau)
-	}
+	cut := local.Now()
 	c.req = request{
-		Kind:     reqSync,
-		From:     local.Site(),
-		Entries:  recent,
-		Hops:     tr.Envelopes(recent),
-		Checksum: local.ChecksumLive(now, cfg.Tau1),
-		Now:      now,
-		Tau:      cfg.Tau,
-		Tau1:     cfg.Tau1,
-		Digests:  p.opts.Digests.Share(),
+		Kind:    reqSync,
+		From:    local.Site(),
+		Now:     cut,
+		Tau1:    cfg.Tau1,
+		Digests: p.opts.Digests.Share(),
 	}
+	// Carry the vector unless the session is known to lack the shard
+	// section: before the first handshake the codec is unknown, and a
+	// pre-v4 binary session leaves the vector off the wire.
+	var vec []uint64
+	if !p.opts.DisableShardVector && (p.pool.shardCapable() || !p.pool.negotiated()) {
+		vec = c.setVector(local, cut, cfg.Tau1)
+	} else {
+		c.req.Checksum = local.ChecksumAt(cut, cfg.Tau1)
+	}
+	sum := c.req.Checksum
 	if err := p.call(c); err != nil {
 		return st, err
 	}
 	p.opts.Digests.Merge(c.resp.Digests)
-	st.EntriesSent += len(recent)
-	p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, &st)
-	now = maxInt64(now, c.resp.Now)
 	st.ChecksumsCompared++
-	if local.ChecksumLive(now, cfg.Tau1) == c.resp.Checksum {
+	if c.resp.Checksum == sum {
 		p.finishExchange(c, &st)
 		return st, nil
 	}
 
-	// Checksums disagree. On a v4 session, first narrow the divergence to
-	// individual shards with one vector round trip and repair only those,
-	// in parallel; any wrinkle (old peer, mismatched shard counts,
-	// mid-conversation topology change) downgrades to the global walk.
-	if !p.opts.DisableShardVector && p.pool.shardCapable() {
+	// Checksums disagree. With comparable vectors, repair only the
+	// diverged shards, in parallel; any wrinkle (mismatched shard counts,
+	// a mid-conversation topology change, a shard over its peel budget)
+	// downgrades to the global walk.
+	if vec != nil && p.pool.shardCapable() {
 		// The repair workers capture the stats pointer, which would force
 		// st itself onto the heap for every conversation — including the
 		// allocation-free in-sync fast path above. Hand them a copy that
 		// only escapes on this (already allocating) mismatch path.
 		sv := st
-		done, err := p.shardRepair(cfg, local, tr, now, c, &sv)
+		done, err := p.shardRepair(cfg, local, tr, cut, vec, c, &sv)
 		if err != nil {
 			return sv, err
 		}
@@ -919,18 +975,17 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		p.opts.Stats.noteShardVecDowngrade()
 	}
 
-	// Peel back in reverse-timestamp batches until the checksums agree,
-	// both sides walking their own index (§1.3).
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = core.DefaultPeelBatch
-	}
-	localBound, remoteBound := store.PeelStart, store.PeelStart
+	// Peel back from the cut in reverse-timestamp batches until the
+	// checksums agree, both sides walking their own index (§1.3).
+	batch := peelBatchSize(cfg)
+	localBound, remoteBound := store.CutBound(cut), store.CutBound(cut)
 	localMore, remoteMore := true, true
+	var back []store.Entry // entries past the cut the peer showed it lacks
 	for round := 0; round < p.opts.MaxPeelRounds; round++ {
-		var mine []store.Entry
+		mine := back
 		if localMore {
-			mine, localBound, localMore = local.PeelBatch(localBound, batch, now, cfg.Tau1)
+			mine, localBound, localMore = local.PeelBatch(localBound, batch, cut, cfg.Tau1)
+			mine = append(mine, back...)
 		}
 		c.req = request{
 			Kind:    reqPeelBack,
@@ -939,22 +994,21 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 			Hops:    tr.Envelopes(mine),
 			Bound:   remoteBound,
 			Limit:   batch,
-			Now:     now,
+			Now:     cut,
 			Tau1:    cfg.Tau1,
 		}
 		if err := p.call(c); err != nil {
 			return st, err
 		}
 		st.EntriesSent += len(mine)
-		p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechPeelBack, &st)
+		back = p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechPeelBack, cut, &st)
 		remoteBound, remoteMore = c.resp.Bound, c.resp.More
-		now = maxInt64(now, c.resp.Now)
 		st.ChecksumsCompared++
-		if local.ChecksumLive(now, cfg.Tau1) == c.resp.Checksum {
+		if local.ChecksumAt(cut, cfg.Tau1) == c.resp.Checksum {
 			p.finishExchange(c, &st)
 			return st, nil
 		}
-		if !localMore && !remoteMore {
+		if !localMore && !remoteMore && len(back) == 0 {
 			// Both walks exhausted: every shippable entry crossed the
 			// wire; remaining differences are dormant certificates the
 			// protocol must not propagate (§2.2).
@@ -966,6 +1020,7 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 	// Capped last resort: the peel budget is spent and the replicas still
 	// disagree — swap full live databases in one round trip.
 	st.FullCompare = true
+	now := local.Now()
 	full := local.LiveSnapshot(now, cfg.Tau1)
 	c.req = request{
 		Kind: reqFullSync, From: local.Site(), Entries: full,
@@ -975,119 +1030,119 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		return st, err
 	}
 	st.EntriesSent += len(full)
-	p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, &st)
+	p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, now, &st)
 	p.finishExchange(c, &st)
 	return st, nil
 }
 
-// shardRepair is the codec-v4 narrow path of an anti-entropy conversation:
-// one round trip swaps per-shard live-checksum vectors, then only the
-// diverged shards are peeled — each confined to one lock stripe on both
-// sides — by a bounded pool of workers over concurrent pooled sessions. It
-// reports done=true when the exchange converged (or provably cannot make
-// further live progress); done=false with a nil error means the caller
-// should fall back to the global peel walk. agg accumulates the byte
+// peelBatchSize is the configured peel batch, or core's default.
+func peelBatchSize(cfg core.ResolveConfig) int {
+	if cfg.BatchSize > 0 {
+		return cfg.BatchSize
+	}
+	return core.DefaultPeelBatch
+}
+
+// shardRepairPasses bounds the vector comparisons of one narrow-path
+// conversation, round 0's included. Writes past the cut cannot move its
+// target, with one exception: a write that overwrites a key older than the
+// cut drops the key from the writer's cut view at once but from a peer's
+// only when the mail lands. A comparison can catch a shard in that window,
+// so a shard that differs again is repaired again, and a conversation that
+// still differs after the last pass ends there: every shard it found
+// diverged has agreed at the cut at least once, and the next
+// conversation's later cut covers the churn.
+const shardRepairPasses = 3
+
+// shardRepair is the narrow path of an anti-entropy conversation whose
+// round 0 swapped per-shard vectors (c.resp answers the vector vec): only
+// the diverged shards are peeled from the cut — each confined to one lock
+// stripe on both sides — by a bounded pool of workers over concurrent
+// pooled sessions, then every shard is compared again at the cut, for up
+// to shardRepairPasses passes. It reports done=true when the narrow path
+// finished the conversation; done=false with a nil error means the caller
+// should fall back to the global peel walk (incomparable vectors, or a
+// shard the narrow path could not finish). c accumulates the byte
 // counters of every session the repair used.
-func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, agg *wireCall, st *core.ExchangeStats) (bool, error) {
-	v := getWireCall()
-	defer func() {
-		agg.bytesOut += v.bytesOut
-		agg.bytesIn += v.bytesIn
-		putWireCall(v)
-	}()
-
-	v.req = request{
-		Kind: reqShardVector,
-		From: local.Site(),
-		Now:  now,
-		Tau1: cfg.Tau1,
-	}
-	v.req.Vector = local.AppendChecksumVector(v.vecBuf[:0], now, cfg.Tau1)
-	v.vecBuf = v.req.Vector[:0]
-	if err := p.call(v); err != nil {
-		if errors.Is(err, errRemote) {
-			return false, nil // old dispatcher mid-upgrade: downgrade
+func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, cut int64, vec []uint64, c *wireCall, st *core.ExchangeStats) (bool, error) {
+	batch := peelBatchSize(cfg)
+	repaired := 0
+	for pass := 1; ; pass++ {
+		if c.resp.ShardCount != local.ShardCount() || len(c.resp.Vector) != len(vec) {
+			return false, nil // incomparable key→shard maps
 		}
-		return false, err
-	}
-	st.ChecksumsCompared++
-	now = maxInt64(now, v.resp.Now)
-	if v.resp.ShardCount != local.ShardCount() || len(v.resp.Vector) != len(v.req.Vector) {
-		return false, nil // incomparable key→shard maps
-	}
-	var diverged []int
-	for i, sum := range v.req.Vector {
-		if sum != v.resp.Vector[i] {
-			diverged = append(diverged, i)
+		var diverged []int
+		for i, sum := range vec {
+			if sum != c.resp.Vector[i] {
+				diverged = append(diverged, i)
+			}
 		}
-	}
-
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = core.DefaultPeelBatch
-	}
-	if len(diverged) > 0 {
-		workers := p.opts.ShardRepairWorkers
-		if workers > len(diverged) {
-			workers = len(diverged)
+		if ok, err := p.repairShards(cfg, local, tr, cut, diverged, batch, c, st); !ok {
+			return false, err
 		}
-		var (
-			next     atomic.Int64
-			degraded atomic.Bool
-			mu       sync.Mutex // guards st, agg, and the trace.Tracer handoff
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(diverged) || degraded.Load() || func() bool { mu.Lock(); defer mu.Unlock(); return firstErr != nil }() {
-						return
-					}
-					err := p.repairShard(cfg, local, tr, diverged[i], now, batch, &mu, agg, st)
-					switch {
-					case err == nil:
-					case errors.Is(err, errRemote) || errors.Is(err, errShardDowngrade):
-						degraded.Store(true)
-					default:
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return false, firstErr
-		}
-		if degraded.Load() {
-			return false, nil
-		}
+		repaired += len(diverged)
 		st.ShardsRepaired += len(diverged)
-	}
 
-	// Terminal recompare: the global live checksums must now agree.
-	// Anything still skewed (a dormancy transition raced the repair, a
-	// concurrent writer) is the global walk's problem.
-	v.req = request{Kind: reqChecksum, Tau1: cfg.Tau1}
-	if err := p.call(v); err != nil {
-		if errors.Is(err, errRemote) {
-			return false, nil
+		// Recompare every shard at the cut; a disagreeing peer answers
+		// with its vector for the next pass.
+		c.req = request{Kind: reqChecksum, Now: cut, Tau1: cfg.Tau1}
+		vec = c.setVector(local, cut, cfg.Tau1)
+		sum := c.req.Checksum
+		if err := p.call(c); err != nil {
+			if errors.Is(err, errRemote) {
+				return false, nil
+			}
+			return false, err
 		}
-		return false, err
+		st.ChecksumsCompared++
+		if c.resp.Checksum == sum {
+			p.opts.Stats.noteShardVec(repaired)
+			return true, nil
+		}
+		if pass == shardRepairPasses {
+			return true, nil
+		}
 	}
-	st.ChecksumsCompared++
-	if local.ChecksumLive(maxInt64(now, local.Now()), cfg.Tau1) != v.resp.Checksum {
-		return false, nil
+}
+
+// repairShards peels the diverged shards in parallel over at most
+// ShardRepairWorkers pooled sessions. ok=false with a nil error means a
+// shard could not be finished on the narrow path (peel budget spent, or
+// the peer refused the shard) and the conversation should downgrade.
+func (p *TCPPeer) repairShards(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, cut int64, diverged []int, batch int, c *wireCall, st *core.ExchangeStats) (bool, error) {
+	var (
+		next     atomic.Int64
+		degraded atomic.Bool
+		mu       sync.Mutex // guards st, c's byte counters, and the trace.Tracer handoff
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < min(p.opts.ShardRepairWorkers, len(diverged)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(diverged) || degraded.Load() || func() bool { mu.Lock(); defer mu.Unlock(); return firstErr != nil }() {
+					return
+				}
+				err := p.repairShard(cfg, local, tr, diverged[i], cut, batch, &mu, c, st)
+				switch {
+				case err == nil:
+				case errors.Is(err, errRemote) || errors.Is(err, errShardDowngrade):
+					degraded.Store(true)
+				default:
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+				}
+			}
+		}()
 	}
-	p.opts.Stats.noteShardVec(len(diverged))
-	return true, nil
+	wg.Wait()
+	return firstErr == nil && !degraded.Load(), firstErr
 }
 
 // errShardDowngrade signals that one shard's repair could not finish within
@@ -1099,10 +1154,11 @@ var errShardDowngrade = errors.New("transport: shard-vector downgrade")
 const shardProbeBatch = 8
 
 // repairShard reconciles one diverged shard: both sides peel that shard's
-// slice of the timestamp index in reverse order, re-comparing the shard
-// checksum after every batch. Runs on a worker goroutine; all shared state
-// (stats, byte aggregation, tracer envelopes) is touched under mu.
-func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, shard int, now int64, batch int, mu *sync.Mutex, agg *wireCall, st *core.ExchangeStats) error {
+// slice of the timestamp index in reverse order from the cut, re-comparing
+// the shard checksum at the cut after every batch. Runs on a worker
+// goroutine; all shared state (stats, byte aggregation, tracer envelopes)
+// is touched under mu.
+func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, shard int, cut int64, batch int, mu *sync.Mutex, agg *wireCall, st *core.ExchangeStats) error {
 	c := getWireCall()
 	defer func() {
 		mu.Lock()
@@ -1116,16 +1172,15 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 	// of entries, usually recent. Start with a small probe batch and ramp
 	// toward the configured size, so shallow per-shard divergence costs
 	// O(δ) on the wire instead of a full batch each way.
-	b := batch
-	if b > shardProbeBatch {
-		b = shardProbeBatch
-	}
-	localBound, remoteBound := store.PeelStart, store.PeelStart
+	b := min(batch, shardProbeBatch)
+	localBound, remoteBound := store.CutBound(cut), store.CutBound(cut)
 	localMore, remoteMore := true, true
+	var back []store.Entry // entries past the cut the peer showed it lacks
 	for round := 0; round < p.opts.MaxPeelRounds; round++ {
-		var mine []store.Entry
+		mine := back
 		if localMore {
-			mine, localBound, localMore = local.PeelBatchShard(shard, localBound, b, now, cfg.Tau1)
+			mine, localBound, localMore = local.PeelBatchShard(shard, localBound, b, cut, cfg.Tau1)
+			mine = append(mine, back...)
 		}
 		mu.Lock()
 		hops := tr.Envelopes(mine)
@@ -1137,27 +1192,25 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 			Hops:       hops,
 			Bound:      remoteBound,
 			Limit:      b,
-			Now:        now,
+			Now:        cut,
 			Tau1:       cfg.Tau1,
 			Shard:      shard,
 			ShardCount: local.ShardCount(),
 		}
-		if b *= 4; b > batch {
-			b = batch
-		}
+		b = min(b*4, batch)
 		if err := p.call(c); err != nil {
 			return err
 		}
 		remoteBound, remoteMore = c.resp.Bound, c.resp.More
 		mu.Lock()
 		st.EntriesSent += len(mine)
-		p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechPeelBack, st)
+		back = p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechPeelBack, cut, st)
 		st.ChecksumsCompared++
 		mu.Unlock()
-		if local.ChecksumShard(shard, now, cfg.Tau1) == c.resp.Checksum {
+		if local.ChecksumShardAt(shard, cut, cfg.Tau1) == c.resp.Checksum {
 			return nil
 		}
-		if !localMore && !remoteMore {
+		if !localMore && !remoteMore && len(back) == 0 {
 			// Shard walks exhausted; residual skew is dormant-certificate
 			// divergence the terminal recompare will adjudicate.
 			return nil
@@ -1175,26 +1228,32 @@ func (p *TCPPeer) finishExchange(c *wireCall, st *core.ExchangeStats) {
 // applyReceived merges entries the peer shipped into the local store,
 // attributing traffic and repairs to the exchange stats. hops are the
 // peer's provenance envelopes (nil when it does not trace); each applied
-// entry becomes a Repair so the caller can stamp causal hop spans.
-func (p *TCPPeer) applyReceived(local *store.Store, entries []store.Entry, hops []trace.Hop, mech trace.Mechanism, st *core.ExchangeStats) {
+// entry becomes a Repair so the caller can stamp causal hop spans. It
+// returns the local entries past cut that supersede stale ones the peer
+// shipped, for the next request to carry back.
+func (p *TCPPeer) applyReceived(local *store.Store, entries []store.Entry, hops []trace.Hop, mech trace.Mechanism, cut int64, st *core.ExchangeStats) []store.Entry {
+	var back []store.Entry
 	for i, e := range entries {
 		st.EntriesReceived++
-		if local.Apply(e).Changed() {
-			st.EntriesApplied++
-			st.AppliedKeys = append(st.AppliedKeys, e.Key)
-			if st.AppliedBySite == nil {
-				st.AppliedBySite = make(map[timestamp.SiteID][]string)
-			}
-			st.AppliedBySite[local.Site()] = append(st.AppliedBySite[local.Site()], e.Key)
-			senderHop := trace.HopUnknown
-			if h := hopAt(hops, i); h.Valid {
-				senderHop = h.Count
-			}
-			st.Repairs = append(st.Repairs, core.Repair{
-				Site: local.Site(), Parent: p.id,
-				Key: e.Key, Stamp: e.Stamp,
-				Mech: mech, SenderHop: senderHop,
-			})
+		if !local.Apply(e).Changed() {
+			back = appendSupersedingPastCut(back, local, e, cut)
+			continue
 		}
+		st.EntriesApplied++
+		st.AppliedKeys = append(st.AppliedKeys, e.Key)
+		if st.AppliedBySite == nil {
+			st.AppliedBySite = make(map[timestamp.SiteID][]string)
+		}
+		st.AppliedBySite[local.Site()] = append(st.AppliedBySite[local.Site()], e.Key)
+		senderHop := trace.HopUnknown
+		if h := hopAt(hops, i); h.Valid {
+			senderHop = h.Count
+		}
+		st.Repairs = append(st.Repairs, core.Repair{
+			Site: local.Site(), Parent: p.id,
+			Key: e.Key, Stamp: e.Stamp,
+			Mech: mech, SenderHop: senderHop,
+		})
 	}
+	return back
 }

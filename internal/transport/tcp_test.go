@@ -108,6 +108,25 @@ func TestTCPAntiEntropyRepairsBothDirections(t *testing.T) {
 	}
 }
 
+// TestTCPResponderCountsApplies: when the peer starts the exchange, the
+// entries it repairs into this replica count in this replica's
+// EntriesApplied, not only in the initiator's exchange stats.
+func TestTCPResponderCountsApplies(t *testing.T) {
+	a, b := tcpPair(t)
+	for i := 0; i < 5; i++ {
+		b.Store().Update(fmt.Sprintf("from-b-%d", i), store.Value("v"))
+	}
+	if err := b.StepAntiEntropy(); err != nil {
+		t.Fatal(err)
+	}
+	if !store.ContentEqual(a.Store(), b.Store()) {
+		t.Fatal("replicas differ after anti-entropy")
+	}
+	if st := a.Stats(); st.EntriesApplied != 5 || st.AntiEntropyRuns != 0 {
+		t.Errorf("responder stats: %+v, want 5 applied and no runs", st)
+	}
+}
+
 func TestTCPAntiEntropyPeelBackAvoidsFullSwap(t *testing.T) {
 	a, b := tcpPair(t)
 	// Old divergence outside any recent window: the wire protocol must
