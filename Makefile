@@ -12,8 +12,8 @@ SCRATCH ?= .scratch
 # and a -cpu sweep so sharded-vs-mutex ratios are comparable across runs.
 STORE_BENCH = -run '^$$' -bench BenchmarkStore -benchtime=200000x -cpu 1,4,8 -benchmem ./internal/store
 # WIRE_BENCH / CODEC_BENCH pin the transport benchmarks to fixed iteration
-# counts so UDP-vs-TCP and binary-vs-gob ratios are stable run to run (the
-# 1x suite pass skips them — see bench).
+# counts so UDP-vs-TCP and pooled-vs-dial ratios and the codec's encode
+# cost are stable run to run (the 1x suite pass skips them — see bench).
 WIRE_BENCH = -run '^$$' -bench '^(BenchmarkExchange|BenchmarkRumorPush)' -benchtime=2000x -benchmem .
 CODEC_BENCH = -run '^$$' -bench Codec -benchtime=20000x -benchmem ./internal/transport
 # DEEP_BENCH is the deep-divergence family: delta old entries buried under
@@ -102,7 +102,7 @@ bench-store:
 	$(GO) test $(STORE_BENCH)
 
 # bench-transport measures the wire protocol in isolation: pooled vs
-# dial-per-request exchanges (binary and gob codecs), UDP-vs-TCP rumor
+# dial-per-request exchanges, UDP-vs-TCP rumor
 # pushes, the O(δ) peel-back mismatch benchmark, and the raw codec
 # encode/round-trip microbenchmarks, with allocation counts.
 bench-transport:
@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/store -fuzz FuzzApply -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzLoad -fuzztime 30s
 	$(GO) test ./internal/transport -fuzz FuzzDecodeFrame -fuzztime 30s
+	$(GO) test ./cmd/gossipd -run '^$$' -fuzz FuzzClientProtocol -fuzztime 30s
 
 clean:
 	rm -f test_output.txt bench_output.txt

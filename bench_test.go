@@ -568,8 +568,8 @@ func BenchmarkMailLinkTraffic(b *testing.B) {
 // benchWireExchange measures one in-sync anti-entropy conversation over a
 // real TCP socket: a checksum-agreeing round trip, the steady state of a
 // healthy cluster. The pooled and dial-per-request variants differ only in
-// TCPPeerOptions, isolating the cost of connection setup and per-dial gob
-// type descriptors. The serving node is instrumented and a history
+// TCPPeerOptions, isolating the cost of connection setup and the hello
+// round trip. The serving node is instrumented and a history
 // sampler ticks over its registry for the whole measured loop, so
 // allocs/op also proves the telemetry pipeline (counters, histograms,
 // time-series capture) stays off the exchange path's allocation budget.
@@ -631,21 +631,14 @@ func benchWireExchange(b *testing.B, opts epidemic.TCPPeerOptions) {
 }
 
 // BenchmarkExchangeDialPerRequest is the pre-pool wire protocol: every
-// request dials, handshakes, and re-ships gob type descriptors.
+// request dials and exchanges the hello.
 func BenchmarkExchangeDialPerRequest(b *testing.B) {
 	benchWireExchange(b, epidemic.TCPPeerOptions{PoolSize: -1})
 }
 
-// BenchmarkExchangePooled reuses one persistent framed session per request
-// with the default hand-rolled binary codec.
+// BenchmarkExchangePooled reuses one persistent framed session per request.
 func BenchmarkExchangePooled(b *testing.B) {
 	benchWireExchange(b, epidemic.TCPPeerOptions{})
-}
-
-// BenchmarkExchangePooledGob is the same pooled exchange negotiated down to
-// gob framing — the codec ablation isolating what the binary codec saves.
-func BenchmarkExchangePooledGob(b *testing.B) {
-	benchWireExchange(b, epidemic.TCPPeerOptions{Codec: "gob"})
 }
 
 // benchRumorPush measures one hot-rumor push round trip: a single entry and
@@ -831,11 +824,11 @@ func benchDeepDivergenceGrid(b *testing.B, shardVec bool) {
 	}
 }
 
-// BenchmarkDeepDivergenceShardVec repairs through the codec-v4 shard
-// vector: one S x 8-byte vector round trip, then only diverged shards.
+// BenchmarkDeepDivergenceShardVec repairs through the shard vector: one
+// S x 8-byte vector exchange in round 0, then only diverged shards.
 func BenchmarkDeepDivergenceShardVec(b *testing.B) { benchDeepDivergenceGrid(b, true) }
 
-// BenchmarkDeepDivergenceGlobal is the pre-v4 baseline: the global merged
+// BenchmarkDeepDivergenceGlobal is the baseline: the global merged
 // peel-back walk over the whole timestamp index.
 func BenchmarkDeepDivergenceGlobal(b *testing.B) { benchDeepDivergenceGrid(b, false) }
 

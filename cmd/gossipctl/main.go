@@ -36,10 +36,9 @@
 // The wire verb returns the
 // daemon's client-side wire snapshot as one JSON object: connection-pool
 // counters (dials, redials, reuses, open_conns), framed traffic totals,
-// per-codec session and message counts from the binary/gob negotiation
-// (sessions_binary, sessions_gob, msgs_binary, msgs_gob), and the UDP
-// rumor fast path's pushes/retries/fallbacks/oversize and byte counters
-// (udp_*). The trace verb accepts a
+// the shard-vector and batched-mail counters (shardvec_*, mail_batch*),
+// and the UDP rumor fast path's pushes/retries/fallbacks/oversize and byte
+// counters (udp_*). The trace verb accepts a
 // comma-separated -addr list: it federates every replica's hop spans for
 // the key (gossipd must run with -trace-ring), reconstructs the infection
 // tree, and prints it with the paper's convergence observables — t_last,

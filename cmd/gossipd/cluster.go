@@ -199,22 +199,20 @@ func (d *daemon) selfDigest(now, staleAfter int64) epidemic.ClusterDigest {
 	w := d.wire.Snapshot()
 	members := len(epidemic.Members(n.Store()))
 	dg := epidemic.ClusterDigest{
-		Stamp:          now,
-		StartedAt:      d.started.UnixNano(),
-		StoreKeys:      int64(n.Store().Len()),
-		Checksum:       n.Store().Checksum(),
-		HotRumors:      int64(len(n.HotEntries())),
-		Peers:          int64(len(n.Peers())),
-		Members:        int64(members),
-		AERuns:         int64(st.AntiEntropyRuns),
-		RumorRuns:      int64(st.RumorRuns),
-		WireMsgsBinary: w.MsgsBinary,
-		WireMsgsGob:    w.MsgsGob,
-		UDPPushes:      w.UDPPushes,
-		UDPFallbacks:   w.UDPFallbacks,
-		LastAE:         d.lastAE.Load(),
-		AntiEntropy:    summarize(d.aeSeconds),
-		Rumor:          summarize(d.rumorSeconds),
+		Stamp:        now,
+		StartedAt:    d.started.UnixNano(),
+		StoreKeys:    int64(n.Store().Len()),
+		Checksum:     n.Store().Checksum(),
+		HotRumors:    int64(len(n.HotEntries())),
+		Peers:        int64(len(n.Peers())),
+		Members:      int64(members),
+		AERuns:       int64(st.AntiEntropyRuns),
+		RumorRuns:    int64(st.RumorRuns),
+		UDPPushes:    w.UDPPushes,
+		UDPFallbacks: w.UDPFallbacks,
+		LastAE:       d.lastAE.Load(),
+		AntiEntropy:  summarize(d.aeSeconds),
+		Rumor:        summarize(d.rumorSeconds),
 	}
 	if d.prop != nil {
 		// t_last over the tracked updates: the largest origination-to-

@@ -38,13 +38,11 @@ type daemonConfig struct {
 	poolSize        int
 	peelBatch       int
 	exchangeTimeout time.Duration
-	// codec selects the outbound wire codec ("binary", "gob" or "legacy")
-	// and caps what the gossip server negotiates ("binary" serves both;
-	// "gob" refuses binary — the rollout safety valve; "legacy" clients
-	// skip the hello for pre-negotiation servers).
+	// codec names the wire format; "binary" is the only one, and the
+	// gossip server refuses to start with any other name.
 	codec string
-	// udp enables the single-datagram UDP fast path for rumor pushes
-	// (server side always binds it unless the codec cap forbids binary).
+	// udp enables the single-datagram UDP fast path for rumor pushes, both
+	// outbound and on the gossip server's port.
 	udp bool
 	// storeShards sets the replica store's lock-stripe count (0 = default).
 	storeShards int
@@ -94,7 +92,6 @@ func (cfg daemonConfig) peerOptions(wire *epidemic.WireStats, digests *epidemic.
 		Timeout:            cfg.exchangeTimeout,
 		PoolSize:           cfg.poolSize,
 		Stats:              wire,
-		Codec:              cfg.codec,
 		UDP:                cfg.udp,
 		Digests:            digests,
 		DisableShardVector: !cfg.shardVector,
@@ -102,17 +99,10 @@ func (cfg daemonConfig) peerOptions(wire *epidemic.WireStats, digests *epidemic.
 	}
 }
 
-// serverOptions derives the gossip server's codec ceiling and UDP policy
-// from the same flags: a daemon that speaks only gob outbound also refuses
-// to negotiate binary inbound, and -udp=false unbinds the fast-path socket.
+// serverOptions derives the gossip server's options from the same flags:
+// -codec is checked there, and -udp=false unbinds the fast-path socket.
 func (cfg daemonConfig) serverOptions() epidemic.TCPServerOptions {
-	codec := cfg.codec
-	if codec == "legacy" {
-		// "legacy" is a client-only mode (skip the hello); the server
-		// equivalent is a gob ceiling.
-		codec = "gob"
-	}
-	return epidemic.TCPServerOptions{Codec: codec, DisableUDP: !cfg.udp}
+	return epidemic.TCPServerOptions{Codec: cfg.codec, DisableUDP: !cfg.udp}
 }
 
 // daemon is one running replica: gossip server, client listener, node

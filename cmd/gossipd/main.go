@@ -27,23 +27,25 @@
 //	WIRE                 -> <one-line JSON object> (connection-pool and wire-traffic stats)
 //	TRACE <key>          -> <one-line JSON object> (this replica's hop spans for key)
 //
-// Wire protocol: -codec picks the frame encoding (binary is the
-// hand-rolled zero-allocation codec; gob refuses binary inbound and
-// outbound, the rolling-upgrade safety valve; legacy additionally skips
-// the codec hello for pre-negotiation servers) and -udp toggles the
+// A SET value is the rest of the line after the key and one separating
+// space, byte for byte. A line longer than 64 KiB is answered with
+// "ERR line exceeds 65536 bytes" and the connection closes.
+//
+// Wire protocol: gossip speaks one binary frame layout, named by a
+// version byte in the connection hello; a peer of another version is
+// refused. -codec accepts only its default, binary. -udp toggles the
 // single-datagram fast path for rumor pushes, which falls back to pooled
 // TCP on loss or oversize batches. The WIRE client verb and the
-// epidemic_wire_* metrics expose per-codec session/message counts and the
-// UDP push/retry/fallback counters.
+// epidemic_wire_* metrics expose pool, traffic, shard-vector, batched-mail
+// and UDP push/retry/fallback counters.
 //
 // Outbound mail: direct-mailed updates ride an asynchronous per-peer
 // send-queue engine — SET/DEL return after an enqueue, workers fan out to
 // all peers in parallel, and back-to-back writes to one key coalesce to
 // the newest stamp. -outbox-workers sizes the pool (negative restores
 // serial mail), -outbox-queue bounds each peer's queue (overflow drops
-// the oldest entry, the paper's lossy-mail queue in §1.2). Peers on codec
-// v5 receive a whole drain as one batched frame; older peers get
-// per-entry mail transparently. The epidemic_outbox_* metrics and the
+// the oldest entry, the paper's lossy-mail queue in §1.2). Each peer
+// receives a whole drain as one batched frame. The epidemic_outbox_* metrics and the
 // STATSJSON outbox_* fields expose enqueues, coalesced supersessions,
 // drops, batches, and current depth.
 //
@@ -72,8 +74,8 @@
 //
 // Cluster observatory: with -cluster-digests (default on) every replica
 // refreshes a compact health digest each -digest-every and the digests
-// ride ordinary anti-entropy and rumor exchanges as a v3 binary-codec
-// envelope — no extra connections, zero bytes when disabled. Any single
+// ride ordinary anti-entropy and rumor exchanges as a section of their
+// frames — no extra connections, one byte when disabled. Any single
 // daemon can then serve the whole cluster's status on /cluster (gossipctl
 // status / watch render it). A stall detector flags sites whose digests
 // go stale (-stale-after, default 3x the anti-entropy period), residue
@@ -92,6 +94,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -101,6 +104,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"epidemic"
 )
@@ -126,10 +131,10 @@ func main() {
 	flag.IntVar(&cfg.poolSize, "pool-size", 2, "persistent gossip connections kept per peer (negative = dial per request)")
 	flag.IntVar(&cfg.peelBatch, "peel-batch", 0, "entries per peel-back batch during anti-entropy (0 = default)")
 	flag.DurationVar(&cfg.exchangeTimeout, "exchange-timeout", 10*time.Second, "per-request deadline on outbound gossip")
-	flag.StringVar(&cfg.codec, "codec", "binary", "wire codec: binary (negotiate, prefer binary), gob (refuse binary - rollout safety valve) or legacy (no hello, for pre-negotiation servers)")
+	flag.StringVar(&cfg.codec, "codec", "binary", "wire format; binary is the only one (peers of another wire version are refused)")
 	flag.BoolVar(&cfg.udp, "udp", true, "UDP fast path for single-datagram rumor pushes (falls back to TCP)")
 	flag.IntVar(&cfg.storeShards, "store-shards", 0, "replica store lock stripes, rounded up to a power of two (0 = default)")
-	flag.BoolVar(&cfg.shardVector, "shard-vector", true, "narrow anti-entropy to diverged store shards when the peer's codec and shard count allow it")
+	flag.BoolVar(&cfg.shardVector, "shard-vector", true, "narrow anti-entropy to diverged store shards when the peer's shard count matches")
 	flag.IntVar(&cfg.shardRepairWorkers, "shard-repair-workers", 0, "diverged shards repaired concurrently per exchange (0 = default)")
 	flag.IntVar(&cfg.outboxWorkers, "outbox-workers", 0, "async outbound-mail worker pool size (0 = default, negative = serial direct mail)")
 	flag.IntVar(&cfg.outboxQueue, "outbox-queue", 0, "outbound-mail entries queued per peer before drop-oldest (0 = default)")
@@ -211,7 +216,8 @@ func handleClient(conn net.Conn, n *epidemic.Node, env clientEnv) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		fields := strings.Fields(line)
 		if len(fields) == 0 {
 			continue
 		}
@@ -227,11 +233,12 @@ func handleClient(conn net.Conn, n *epidemic.Node, env clientEnv) {
 				fmt.Fprintln(conn, "MISSING")
 			}
 		case "SET":
-			if len(fields) < 3 {
+			key, value, ok := setArgs(line)
+			if !ok {
 				fmt.Fprintln(conn, "ERR usage: SET <key> <value>")
 				continue
 			}
-			n.Update(fields[1], epidemic.Value(strings.Join(fields[2:], " ")))
+			n.Update(key, epidemic.Value(value))
 			fmt.Fprintln(conn, "OK")
 		case "DEL":
 			if len(fields) != 2 {
@@ -315,4 +322,25 @@ func handleClient(conn net.Conn, n *epidemic.Node, env clientEnv) {
 			fmt.Fprintln(conn, "ERR unknown command")
 		}
 	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		fmt.Fprintf(conn, "ERR line exceeds %d bytes\n", bufio.MaxScanTokenSize)
+	}
+}
+
+// setArgs splits a SET line into its key and value. The value is the rest
+// of the line after the key and one separating space, byte for byte, so
+// runs of spaces inside it survive; an empty value is not a SET.
+func setArgs(line string) (key, value string, ok bool) {
+	rest := line
+	for range 2 { // the verb, then the key
+		rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			return "", "", false
+		}
+		key, rest = rest[:end], rest[end:]
+	}
+	_, sep := utf8.DecodeRuneInString(rest)
+	value = rest[sep:]
+	return key, value, value != ""
 }

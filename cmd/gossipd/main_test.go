@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -70,6 +71,8 @@ func TestClientProtocol(t *testing.T) {
 		"STATS",
 		"BOGUS",
 		"GET",
+		"SET sp a  b",
+		"GET sp",
 	})
 	want := []string{
 		"MISSING",
@@ -81,6 +84,8 @@ func TestClientProtocol(t *testing.T) {
 		"", // STATS checked by prefix below
 		"ERR unknown command",
 		"ERR usage: GET <key>",
+		"OK",
+		"VALUE a  b", // the value is kept byte for byte
 	}
 	for i, w := range want {
 		if i == 6 {
@@ -109,6 +114,34 @@ func TestClientProtocolArgErrors(t *testing.T) {
 	}
 }
 
+// TestClientLineTooLong sends a SET longer than the line cap: the client
+// gets an ERR line before the connection closes, and nothing is stored.
+func TestClientLineTooLong(t *testing.T) {
+	n, err := epidemic.NewNode(epidemic.NodeConfig{Site: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	go handleClient(server, n, clientEnv{})
+	defer client.Close()
+	go func() { _, _ = client.Write([]byte("SET big " + strings.Repeat("x", 70<<10) + "\n")) }()
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(client)
+	line, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply to an overlong line: %v", err)
+	}
+	if got := strings.TrimSpace(line); got != "ERR line exceeds 65536 bytes" {
+		t.Errorf("reply = %q", got)
+	}
+	if _, err := r.ReadString('\n'); err != io.EOF {
+		t.Errorf("connection still open after the ERR line: %v", err)
+	}
+	if _, ok := n.Lookup("big"); ok {
+		t.Error("an overlong SET was stored")
+	}
+}
+
 func TestClientMembers(t *testing.T) {
 	n, err := epidemic.NewNode(epidemic.NodeConfig{Site: 5})
 	if err != nil {
@@ -124,6 +157,24 @@ func TestClientMembers(t *testing.T) {
 	}
 	if got[1] != "KEYS app" {
 		t.Errorf("KEYS leaked membership records: %q", got[1])
+	}
+}
+
+// TestDaemonRefusesRetiredCodecs: binary is the only wire format, so the
+// codec names older builds accepted stop the daemon at startup.
+func TestDaemonRefusesRetiredCodecs(t *testing.T) {
+	for _, codec := range []string{"gob", "legacy", "binary-v4"} {
+		d, err := startDaemon(daemonConfig{
+			site: 1, listen: "127.0.0.1:0", client: "127.0.0.1:0",
+			aePer: time.Hour, rumPer: time.Hour, k: 3,
+			tau1: time.Hour, tau2: time.Hour, retain: 1, codec: codec,
+		})
+		if err == nil {
+			d.Close()
+			t.Errorf("-codec %s: daemon started", codec)
+		} else if !strings.Contains(err.Error(), codec) {
+			t.Errorf("-codec %s: error %q does not name the codec", codec, err)
+		}
 	}
 }
 

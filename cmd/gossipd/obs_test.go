@@ -118,7 +118,6 @@ func TestObsSmoke(t *testing.T) {
 		epidemic.MetricWireBytesPerExchange,
 		epidemic.MetricWireMailBatches,
 		epidemic.MetricWireMailBatchEntries,
-		epidemic.MetricWireMailFallbackEntries,
 	}
 	for i, d := range daemons {
 		metrics := fetchAdmin(t, d.AdminAddr(), "/metrics")

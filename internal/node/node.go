@@ -188,7 +188,7 @@ type Stats struct {
 	OutboxDepth     int `json:"outbox_depth"`
 	// MailBatchesReceived counts batched mail frames applied by this
 	// replica; MailMaxQueuedNanos is the largest sender-side queueing
-	// delay reported by any of them (codec v5 telemetry).
+	// delay reported by any of them (mail-batch telemetry).
 	MailBatchesReceived int   `json:"mail_batches_received"`
 	MailMaxQueuedNanos  int64 `json:"mail_max_queued_nanos"`
 }

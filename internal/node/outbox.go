@@ -75,7 +75,7 @@ func (c OutboxConfig) withDefaults() OutboxConfig {
 
 // MailBatch is one coalesced drain of a peer's send queue: the entries
 // (one per key, newest version wins) with their provenance envelopes, plus
-// the engine telemetry the codec-v5 wire section carries to the receiver.
+// the engine telemetry the mail-batch frame carries to the receiver.
 type MailBatch struct {
 	Entries []store.Entry
 	// Hops carries one provenance envelope per entry, or nil when the

@@ -31,8 +31,8 @@ type LatencySummary struct {
 // Digest is one node's self-reported health snapshot. Stamp orders
 // versions of the same site's digest (newest wins on merge); every other
 // field is informational. The struct is flat and fixed-shape on purpose:
-// it has a hand-rolled binary encoding in the transport codec, so fields
-// are only added, never reordered.
+// it has a hand-rolled binary encoding in the transport codec, so a change
+// to its fields is a change of wire version.
 type Digest struct {
 	// Site is the reporting replica; Stamp the digest's creation time in
 	// stamp units — the merge key.
@@ -55,10 +55,8 @@ type Digest struct {
 	AERuns    int64 `json:"ae_runs"`
 	RumorRuns int64 `json:"rumor_runs"`
 	// Wire and UDP fast-path counters (zero on sim nodes).
-	WireMsgsBinary int64 `json:"wire_msgs_binary"`
-	WireMsgsGob    int64 `json:"wire_msgs_gob"`
-	UDPPushes      int64 `json:"udp_pushes"`
-	UDPFallbacks   int64 `json:"udp_fallbacks"`
+	UDPPushes    int64 `json:"udp_pushes"`
+	UDPFallbacks int64 `json:"udp_fallbacks"`
 	// Residue and TLastSeconds are the node's view of the paper's
 	// convergence observables. A lone replica cannot count infections at
 	// other sites, so its Residue is a checksum proxy: the fraction of

@@ -288,8 +288,8 @@ func (t *Tracer) envelopeLocked(key string, stamp timestamp.T) Hop {
 }
 
 // Envelopes returns one envelope per entry, or nil for a nil tracer or an
-// empty batch — the nil slice is what keeps disabled tracing free on the
-// wire (gob omits the field entirely).
+// empty batch — the nil slice is what keeps disabled tracing nearly free
+// on the wire (one zero count byte).
 func (t *Tracer) Envelopes(entries []store.Entry) []Hop {
 	if t == nil || len(entries) == 0 {
 		return nil

@@ -99,8 +99,6 @@ func TestInstrumentWire(t *testing.T) {
 		MetricWireExchanges:                     2,
 		MetricWireEntriesPerExchange + "_count": 2,
 		MetricWireBytesPerExchange + "_count":   2,
-		MetricWireSessionsBinary:                1,
-		MetricWireMsgsBinary:                    1,
 		MetricWireUDPPushes:                     1,
 		MetricWireUDPBytesSent:                  1,
 		MetricWireUDPBytesReceived:              1,

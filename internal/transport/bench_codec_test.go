@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -17,7 +15,6 @@ import (
 func benchResponse(entries int) *response {
 	resp := &response{
 		Checksum: 0xfeedfacecafebeef,
-		Now:      1 << 40,
 		Bound:    timestamp.T{Time: 1<<40 - 512, Site: 3, Seq: 77},
 		Needed:   make([]bool, entries),
 	}
@@ -35,45 +32,22 @@ func benchResponse(entries int) *response {
 	return resp
 }
 
-// BenchmarkCodecEncode measures one response encode: the binary codec
-// appending into a reused buffer vs a persistent gob encoder writing into a
-// reset buffer (type descriptors already shipped — the pooled-session
-// steady state for both).
+// BenchmarkCodecEncode measures one response encode, appending into a
+// reused buffer (the pooled-session steady state).
 func BenchmarkCodecEncode(b *testing.B) {
 	resp := benchResponse(16)
 	b.Run("binary", func(b *testing.B) {
 		buf := make([]byte, 0, 4096)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = appendResponse(buf[:0], resp, codecBinary)
+			buf = appendResponse(buf[:0], resp)
 		}
 		b.ReportMetric(float64(len(buf)), "wire_bytes")
-	})
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(resp); err != nil { // ship type descriptors
-			b.Fatal(err)
-		}
-		first := buf.Len()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var n int
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(resp); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-		}
-		_ = first
-		b.ReportMetric(float64(n), "wire_bytes")
 	})
 }
 
 // BenchmarkCodecRoundTrip measures encode+decode of the same response: the
-// full serialization cost one framed message pays on the wire, with
-// persistent encoder/decoder state on both sides.
+// full serialization cost one framed message pays on the wire.
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	resp := benchResponse(16)
 	b.Run("binary", func(b *testing.B) {
@@ -81,24 +55,8 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		var out response
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = appendResponse(buf[:0], resp, codecBinary)
-			if err := decodeResponse(buf, &out, codecBinary); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var out response
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(resp); err != nil {
-				b.Fatal(err)
-			}
-			out = response{}
-			if err := dec.Decode(&out); err != nil {
+			buf = appendResponse(buf[:0], resp)
+			if err := decodeResponse(buf, &out); err != nil {
 				b.Fatal(err)
 			}
 		}

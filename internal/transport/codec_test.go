@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,7 +18,7 @@ func codecRequests() []request {
 	return []request{
 		{},
 		{Kind: reqChecksum, Tau1: 42},
-		{Kind: reqSync, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau: 100, Tau1: 1 << 40},
+		{Kind: reqSync, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau1: 1 << 40},
 		{Kind: reqPeelBack, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64},
 		{
 			Kind: reqMail,
@@ -51,7 +50,7 @@ func codecResponses() []response {
 	return []response{
 		{},
 		{Err: "remote exploded"},
-		{InSync: true, Checksum: 12345, Now: 678},
+		{InSync: true, Checksum: 12345},
 		{More: true, Bound: timestamp.T{Time: -3, Site: 7, Seq: 1}},
 		{Needed: []bool{true}},
 		{Needed: []bool{true, false, true, false, true, false, true}},        // 7: partial byte
@@ -64,7 +63,7 @@ func codecResponses() []response {
 				{Key: "y", Value: store.Value("data"), Stamp: timestamp.T{Time: 6, Site: 6, Seq: 6}},
 			},
 			Hops:     []trace.Hop{{Parent: 1, Count: 1, Valid: true}, {Valid: false}},
-			Checksum: 1, Now: 2, InSync: false, More: true,
+			Checksum: 1, InSync: false, More: true,
 		},
 	}
 }
@@ -105,12 +104,12 @@ func normalizeResp(r *response) {
 
 func TestCodecRequestRoundTrip(t *testing.T) {
 	for i, req := range codecRequests() {
-		payload := appendRequest(nil, &req, codecBinary)
+		payload := appendRequest(nil, &req)
 		// Decode into a dirty struct: every field must be overwritten.
-		got := request{Kind: 99, From: 99, Checksum: 99, Now: 99, Tau: 99,
+		got := request{Kind: 99, From: 99, Checksum: 99, Now: 99,
 			Tau1: 99, Bound: timestamp.T{Time: 99}, Limit: 99,
 			Entries: []store.Entry{{Key: "stale"}}, Hops: []trace.Hop{{Count: 9}}}
-		if err := decodeRequest(payload, &got, codecBinary); err != nil {
+		if err := decodeRequest(payload, &got); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		want := req
@@ -124,11 +123,11 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 
 func TestCodecResponseRoundTrip(t *testing.T) {
 	for i, resp := range codecResponses() {
-		payload := appendResponse(nil, &resp, codecBinary)
+		payload := appendResponse(nil, &resp)
 		got := response{Needed: []bool{true}, Entries: []store.Entry{{Key: "stale"}},
-			InSync: true, Checksum: 99, Now: 99, Bound: timestamp.T{Time: 99},
+			InSync: true, Checksum: 99, Bound: timestamp.T{Time: 99},
 			More: true, Hops: []trace.Hop{{Count: 9}}, Err: "stale"}
-		if err := decodeResponse(payload, &got, codecBinary); err != nil {
+		if err := decodeResponse(payload, &got); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		want := resp
@@ -149,7 +148,7 @@ func TestCodecValueNilVsEmpty(t *testing.T) {
 		{Key: "empty", Value: store.Value{}, Stamp: timestamp.T{Time: 2, Site: 1}},
 	}}
 	var got request
-	if err := decodeRequest(appendRequest(nil, &req, codecBinary), &got, codecBinary); err != nil {
+	if err := decodeRequest(appendRequest(nil, &req), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Entries[0].Value != nil {
@@ -165,10 +164,10 @@ func TestCodecValueNilVsEmpty(t *testing.T) {
 // at full length).
 func TestCodecTruncationEveryPrefix(t *testing.T) {
 	for i, req := range codecRequests() {
-		payload := appendRequest(nil, &req, codecBinary)
+		payload := appendRequest(nil, &req)
 		for n := 0; n < len(payload); n++ {
 			var got request
-			err := decodeRequest(payload[:n], &got, codecBinary)
+			err := decodeRequest(payload[:n], &got)
 			if err == nil {
 				t.Fatalf("case %d: decode of %d/%d-byte prefix succeeded", i, n, len(payload))
 			}
@@ -178,10 +177,10 @@ func TestCodecTruncationEveryPrefix(t *testing.T) {
 		}
 	}
 	for i, resp := range codecResponses() {
-		payload := appendResponse(nil, &resp, codecBinary)
+		payload := appendResponse(nil, &resp)
 		for n := 0; n < len(payload); n++ {
 			var got response
-			err := decodeResponse(payload[:n], &got, codecBinary)
+			err := decodeResponse(payload[:n], &got)
 			if err == nil {
 				t.Fatalf("case %d: decode of %d/%d-byte prefix succeeded", i, n, len(payload))
 			}
@@ -196,15 +195,15 @@ func TestCodecTruncationEveryPrefix(t *testing.T) {
 // must notice the frame was not fully consumed.
 func TestCodecTrailingGarbage(t *testing.T) {
 	req := codecRequests()[2]
-	payload := append(appendRequest(nil, &req, codecBinary), 0xde, 0xad)
+	payload := append(appendRequest(nil, &req), 0xde, 0xad)
 	var got request
-	if err := decodeRequest(payload, &got, codecBinary); !errors.Is(err, ErrFrameGarbage) {
+	if err := decodeRequest(payload, &got); !errors.Is(err, ErrFrameGarbage) {
 		t.Errorf("decodeRequest err = %v, want ErrFrameGarbage", err)
 	}
 	resp := codecResponses()[2]
-	rp := append(appendResponse(nil, &resp, codecBinary), 0xbe)
+	rp := append(appendResponse(nil, &resp), 0xbe)
 	var gotR response
-	if err := decodeResponse(rp, &gotR, codecBinary); !errors.Is(err, ErrFrameGarbage) {
+	if err := decodeResponse(rp, &gotR); !errors.Is(err, ErrFrameGarbage) {
 		t.Errorf("decodeResponse err = %v, want ErrFrameGarbage", err)
 	}
 }
@@ -219,13 +218,12 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	b = appendUint32(b, 1)
 	b = appendUint64(b, 0)
 	b = appendVarint(b, 0) // Now
-	b = appendVarint(b, 0) // Tau
 	b = appendVarint(b, 0) // Tau1
 	b = appendStamp(b, timestamp.T{})
 	b = appendVarint(b, 0)      // Limit
 	b = appendUvarint(b, 1<<40) // forged entry count
 	var got request
-	if err := decodeRequest(b, &got, codecBinary); !errors.Is(err, ErrTruncatedFrame) {
+	if err := decodeRequest(b, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged entry count: err = %v, want ErrTruncatedFrame", err)
 	}
 
@@ -233,18 +231,34 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	var rb []byte
 	rb = append(rb, 0) // flags
 	rb = appendUint64(rb, 0)
-	rb = appendVarint(rb, 0)
 	rb = appendStamp(rb, timestamp.T{})
 	rb = appendUvarint(rb, 1<<40) // forged Needed count
 	var gotR response
-	if err := decodeResponse(rb, &gotR, codecBinary); !errors.Is(err, ErrTruncatedFrame) {
+	if err := decodeResponse(rb, &gotR); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged needed count: err = %v, want ErrTruncatedFrame", err)
 	}
 }
 
+// TestCodecUnusedSectionsCostOneByteEach pins the single layout: a zero
+// request is its fixed fields plus one zero byte per count or varint of
+// every section, and a zero response likewise.
+func TestCodecUnusedSectionsCostOneByteEach(t *testing.T) {
+	// Kind, From, Checksum, Now, Tau1, Bound, Limit; then entries, hops,
+	// digests, Shard, ShardCount, vector, and the two mail varints.
+	if got, want := len(appendRequest(nil, &request{})), 1+4+8+1+1+stampWireLen+1+8; got != want {
+		t.Errorf("zero request = %d bytes, want %d", got, want)
+	}
+	// Flags, Checksum, Bound; then needed, entries, hops, err, digests,
+	// ShardCount, vector.
+	if got, want := len(appendResponse(nil, &response{})), 1+8+stampWireLen+7; got != want {
+		t.Errorf("zero response = %d bytes, want %d", got, want)
+	}
+}
+
 func TestRequestWireSizeIsUpperBound(t *testing.T) {
-	for i, req := range codecRequests() {
-		actual := len(appendRequest(nil, &req, codecBinary))
+	all := append(codecRequests(), append(shardRequests(), mailRequests()...)...)
+	for i, req := range all {
+		actual := len(appendRequest(nil, &req))
 		bound := requestWireSize(&req)
 		if actual > bound {
 			t.Errorf("case %d: encoded %d bytes > claimed bound %d", i, actual, bound)
@@ -253,6 +267,12 @@ func TestRequestWireSizeIsUpperBound(t *testing.T) {
 			t.Errorf("case %d: bound %d too loose for %d actual bytes", i, bound, actual)
 		}
 	}
+	// Digests are bounded at full varint width, so only the upper bound is
+	// tight enough to pin.
+	req := request{Kind: reqSync, Digests: sampleDigests(), Vector: []uint64{1, 2, 3}}
+	if actual, bound := len(appendRequest(nil, &req)), requestWireSize(&req); actual > bound {
+		t.Errorf("digest request: encoded %d bytes > claimed bound %d", actual, bound)
+	}
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes to both decoders. They must never
@@ -260,90 +280,54 @@ func TestRequestWireSizeIsUpperBound(t *testing.T) {
 // the same value (the codec is its own inverse on its image).
 func FuzzDecodeFrame(f *testing.F) {
 	for _, req := range codecRequests() {
-		f.Add(appendRequest(nil, &req, codecBinary))
+		f.Add(appendRequest(nil, &req))
 	}
 	for _, resp := range codecResponses() {
-		f.Add(appendResponse(nil, &resp, codecBinary))
+		f.Add(appendResponse(nil, &resp))
 	}
-	// Seed valid v4 frames so the fuzzer starts with shard-vector and
-	// shard-peel sections to mutate.
+	// Shard-vector and shard-peel shapes, and mail batches with their
+	// telemetry, so the fuzzer starts with every section populated.
 	for _, req := range shardRequests() {
-		f.Add(appendRequest(nil, &req, codecBinaryShard))
+		f.Add(appendRequest(nil, &req))
 	}
 	for _, resp := range shardResponses() {
-		f.Add(appendResponse(nil, &resp, codecBinaryShard))
+		f.Add(appendResponse(nil, &resp))
 	}
-	// And valid v5 frames: mail batches with their telemetry section.
 	for _, req := range mailRequests() {
-		f.Add(appendRequest(nil, &req, codecBinaryMail))
+		f.Add(appendRequest(nil, &req))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// Every payload is tried under the v2, v4 and v5 framings: the same
-		// bytes mean different things per negotiated codec, and every decoder
-		// must stay panic-free, typed on error, and self-inverse on success.
-		for _, codec := range []byte{codecBinary, codecBinaryShard, codecBinaryMail} {
-			var req request
-			if err := decodeRequest(payload, &req, codec); err == nil {
-				re := appendRequest(nil, &req, codec)
-				var again request
-				if err := decodeRequest(re, &again, codec); err != nil {
-					t.Fatalf("codec %d: re-decode of re-encoded request failed: %v", codec, err)
-				}
-				normalizeShardReq(&req)
-				normalizeShardReq(&again)
-				if !reflect.DeepEqual(req, again) {
-					t.Fatalf("codec %d: request not stable under re-encode:\n1st %+v\n2nd %+v", codec, req, again)
-				}
-			} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
-				t.Fatalf("codec %d: decodeRequest returned untyped error %v", codec, err)
+		var req request
+		if err := decodeRequest(payload, &req); err == nil {
+			re := appendRequest(nil, &req)
+			var again request
+			if err := decodeRequest(re, &again); err != nil {
+				t.Fatalf("re-decode of re-encoded request failed: %v", err)
 			}
-			var resp response
-			if err := decodeResponse(payload, &resp, codec); err == nil {
-				re := appendResponse(nil, &resp, codec)
-				var again response
-				if err := decodeResponse(re, &again, codec); err != nil {
-					t.Fatalf("codec %d: re-decode of re-encoded response failed: %v", codec, err)
-				}
-				normalizeShardResp(&resp)
-				normalizeShardResp(&again)
-				if !reflect.DeepEqual(resp, again) {
-					t.Fatalf("codec %d: response not stable under re-encode:\n1st %+v\n2nd %+v", codec, resp, again)
-				}
-			} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
-				t.Fatalf("codec %d: decodeResponse returned untyped error %v", codec, err)
+			normalizeShardReq(&req)
+			normalizeShardReq(&again)
+			if !reflect.DeepEqual(req, again) {
+				t.Fatalf("request not stable under re-encode:\n1st %+v\n2nd %+v", req, again)
 			}
+		} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
+			t.Fatalf("decodeRequest returned untyped error %v", err)
+		}
+		var resp response
+		if err := decodeResponse(payload, &resp); err == nil {
+			re := appendResponse(nil, &resp)
+			var again response
+			if err := decodeResponse(re, &again); err != nil {
+				t.Fatalf("re-decode of re-encoded response failed: %v", err)
+			}
+			normalizeShardResp(&resp)
+			normalizeShardResp(&again)
+			if !reflect.DeepEqual(resp, again) {
+				t.Fatalf("response not stable under re-encode:\n1st %+v\n2nd %+v", resp, again)
+			}
+		} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
+			t.Fatalf("decodeResponse returned untyped error %v", err)
 		}
 	})
-}
-
-// TestCodecNames pins the codec and flag vocabulary.
-func TestCodecNames(t *testing.T) {
-	if codecName(codecGob) != "gob" || codecName(codecBinary) != "binary" ||
-		codecName(codecBinaryDigest) != "binary" || codecName(codecBinaryShard) != "binary" ||
-		codecName(codecBinaryMail) != "binary" || codecName(0) != "unknown" {
-		t.Error("codecName vocabulary changed")
-	}
-	for _, tc := range []struct {
-		in     string
-		codec  byte
-		legacy bool
-		ok     bool
-	}{
-		{"", codecBinaryMail, false, true},
-		{"binary", codecBinaryMail, false, true},
-		{"binary-v2", codecBinary, false, true},
-		{"binary-v3", codecBinaryDigest, false, true},
-		{"binary-v4", codecBinaryShard, false, true},
-		{"gob", codecGob, false, true},
-		{"legacy", codecGob, true, true},
-		{"protobuf", 0, false, false},
-	} {
-		c, l, err := parseCodec(tc.in)
-		if (err == nil) != tc.ok || c != tc.codec || l != tc.legacy {
-			t.Errorf("parseCodec(%q) = %d %v %v", tc.in, c, l, err)
-		}
-	}
-	_ = fmt.Sprintf // keep fmt imported if cases above change
 }

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"net"
 	"reflect"
 	"testing"
-	"time"
 
 	"epidemic/internal/core"
 	"epidemic/internal/node"
@@ -19,7 +17,7 @@ func sampleDigests() []cluster.Digest {
 			StoreKeys: 42, Checksum: 0xdeadbeefcafef00d,
 			HotRumors: 3, Peers: 2, Members: 5,
 			AERuns: 100, RumorRuns: 200,
-			WireMsgsBinary: 17, WireMsgsGob: 1, UDPPushes: 9, UDPFallbacks: 2,
+			UDPPushes: 9, UDPFallbacks: 2,
 			Residue: 0.25, TLastSeconds: 1.5, LastAE: 950,
 			AntiEntropy: cluster.LatencySummary{Count: 100, P50: 0.012, P99: 0.3},
 			Rumor:       cluster.LatencySummary{Count: 200, P50: 0.004, P99: 0.05},
@@ -28,13 +26,13 @@ func sampleDigests() []cluster.Digest {
 	}
 }
 
-// TestDigestCodecRoundTrip proves the trailing digest section encodes and
-// decodes exactly, and that it is absent (not just empty) on v2 frames.
+// TestDigestCodecRoundTrip proves the digest section encodes and decodes
+// exactly in both directions, and that an absent section costs one byte.
 func TestDigestCodecRoundTrip(t *testing.T) {
 	digests := sampleDigests()
 	req := request{Kind: reqSync, From: 1, Checksum: 7, Digests: digests}
 	var gotReq request
-	if err := decodeRequest(appendRequest(nil, &req, codecBinaryDigest), &gotReq, codecBinaryDigest); err != nil {
+	if err := decodeRequest(appendRequest(nil, &req), &gotReq); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotReq.Digests, digests) {
@@ -43,28 +41,19 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 
 	resp := response{Checksum: 9, Digests: digests}
 	var gotResp response
-	if err := decodeResponse(appendResponse(nil, &resp, codecBinaryDigest), &gotResp, codecBinaryDigest); err != nil {
+	if err := decodeResponse(appendResponse(nil, &resp), &gotResp); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotResp.Digests, digests) {
 		t.Errorf("response digests = %+v", gotResp.Digests)
 	}
 
-	// A v2 frame never carries the section: encoding with withDigests=false
-	// must byte-match a digest-free request.
+	// An empty section is its zero count: one digest more costs exactly
+	// that digest's fields and nothing else.
 	bare := request{Kind: reqSync, From: 1, Checksum: 7}
-	withField := appendRequest(nil, &req, codecBinary)
-	without := appendRequest(nil, &bare, codecBinary)
-	if string(withField) != string(without) {
-		t.Error("withDigests=false leaked digest bytes onto the frame")
-	}
-
-	// An empty section costs exactly one byte.
-	empty := request{Kind: reqSync, From: 1, Checksum: 7}
-	v2 := appendRequest(nil, &empty, codecBinary)
-	v3 := appendRequest(nil, &empty, codecBinaryDigest)
-	if len(v3) != len(v2)+1 {
-		t.Errorf("empty digest section = %d bytes, want 1", len(v3)-len(v2))
+	one := request{Kind: reqSync, From: 1, Checksum: 7, Digests: digests[1:]}
+	if got, want := len(appendRequest(nil, &one))-len(appendRequest(nil, &bare)), len(appendDigests(nil, digests[1:]))-1; got != want {
+		t.Errorf("one digest added %d bytes, want %d", got, want)
 	}
 }
 
@@ -72,51 +61,12 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 // every truncation point of the digest section.
 func TestDigestSectionTruncation(t *testing.T) {
 	req := request{Kind: reqSync, Digests: sampleDigests()}
-	payload := appendRequest(nil, &req, codecBinaryDigest)
+	payload := appendRequest(nil, &req)
 	var got request
 	for n := len(payload) - 1; n >= 0; n-- {
-		if err := decodeRequest(payload[:n], &got, codecBinaryDigest); err == nil {
+		if err := decodeRequest(payload[:n], &got); err == nil {
 			t.Fatalf("truncated payload at %d bytes decoded cleanly", n)
 		}
-	}
-}
-
-// TestDigestNegotiationDowngrade drives a v3-preferring client against a
-// v2-ceiling server at the session level: the pair settles on plain binary
-// and digest-bearing requests cross the wire with the section stripped.
-func TestDigestNegotiationDowngrade(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	cs := newSession(client, 0, codecGob)
-	ss := newSession(server, 0, codecGob)
-
-	done := make(chan error, 1)
-	go func() { done <- ss.serverHandshake(codecBinary) }()
-	if err := cs.clientHandshake(codecBinaryDigest, time.Now().Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if cs.codec != codecBinary || ss.codec != codecBinary {
-		t.Fatalf("negotiated %d/%d, want both %d", cs.codec, ss.codec, codecBinary)
-	}
-
-	req := request{Kind: reqChecksum, Tau1: 5, Digests: sampleDigests()}
-	go func() { done <- cs.writeRequest(&req) }()
-	var got request
-	if err := ss.readRequest(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got.Digests != nil {
-		t.Errorf("digests crossed a v2 session: %+v", got.Digests)
-	}
-	if got.Kind != reqChecksum || got.Tau1 != 5 {
-		t.Errorf("payload corrupted on v2 session: %+v", got)
 	}
 }
 

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -41,17 +39,25 @@ func fakeServer(t *testing.T, handler func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// answerHello reads a client's 4-byte hello and answers it as a server of
+// this build would, so a byte-level fake's frames line up after it.
+func answerHello(conn net.Conn) {
+	var hello [4]byte
+	_, _ = io.ReadFull(conn, hello[:])
+	_, _ = conn.Write([]byte{wireVersion})
+}
+
 func TestClientTruncatedResponseFrame(t *testing.T) {
 	// The remote promises a 100-byte payload, ships 5, and dies.
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
+		answerHello(conn)
 		var header [frameHeaderLen]byte
 		binary.BigEndian.PutUint32(header[:], 100)
 		_, _ = conn.Write(header[:])
 		_, _ = conn.Write([]byte("stub!"))
 	})
-	// Legacy mode: no codec hello, so the byte-level fake's frames line up.
-	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second, Codec: "legacy"})
+	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second})
 	defer peer.Close()
 	_, _, err := peer.PullRumors()
 	if !errors.Is(err, ErrTruncatedFrame) {
@@ -64,6 +70,7 @@ func TestClientOversizeResponseFrame(t *testing.T) {
 	// refuse before allocating a byte of payload.
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
+		answerHello(conn)
 		var header [frameHeaderLen]byte
 		binary.BigEndian.PutUint32(header[:], 1<<31)
 		_, _ = conn.Write(header[:])
@@ -71,7 +78,7 @@ func TestClientOversizeResponseFrame(t *testing.T) {
 		// not a disconnect.
 		time.Sleep(2 * time.Second)
 	})
-	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second, Codec: "legacy"})
+	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second})
 	defer peer.Close()
 	_, _, err := peer.PullRumors()
 	if !errors.Is(err, ErrFrameTooLarge) {
@@ -83,36 +90,33 @@ func TestOutgoingFrameRespectsLimit(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	s := newSession(client, 16, codecGob) // absurdly small per-frame cap
+	s := newSession(client, 16) // absurdly small per-frame cap
 	big := request{Kind: reqMail, Entries: []store.Entry{{Key: "k", Value: store.Value(make([]byte, 1024))}}}
-	if err := s.writeMsg(&big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("writeMsg err = %v, want ErrFrameTooLarge", err)
+	if err := s.writeRequest(&big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("writeRequest err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameTrailingGarbage(t *testing.T) {
-	// A frame whose payload holds a full gob value plus trailing junk means
-	// the streams have diverged; readMsg must say so.
+	// A frame whose payload holds a full response plus trailing junk means
+	// the streams have diverged; readResponse must say so.
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
 
 	go func() {
 		// Encode one legitimate value, then pad the frame.
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		_ = enc.Encode(&response{Checksum: 7})
-		payload := append(buf.Bytes(), 0xde, 0xad, 0xbe)
+		payload := append(appendResponse(nil, &response{Checksum: 7}), 0xde, 0xad, 0xbe)
 		var header [frameHeaderLen]byte
 		binary.BigEndian.PutUint32(header[:], uint32(len(payload)))
 		_, _ = server.Write(header[:])
 		_, _ = server.Write(payload)
 	}()
 
-	s := newSession(client, 0, codecGob)
+	s := newSession(client, 0)
 	var resp response
-	if err := s.readMsg(&resp); !errors.Is(err, ErrFrameGarbage) {
-		t.Errorf("readMsg err = %v, want ErrFrameGarbage", err)
+	if err := s.readResponse(&resp); !errors.Is(err, ErrFrameGarbage) {
+		t.Errorf("readResponse err = %v, want ErrFrameGarbage", err)
 	}
 }
 
@@ -146,26 +150,32 @@ func TestServerSurvivesTruncatedAndOversizeFrames(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Truncated: promise 100 bytes, send 4, hang up.
+	// Truncated: after a valid hello, promise 100 bytes, send 4, hang up.
+	hello := []byte{helloMagic[0], helloMagic[1], helloMagic[2], wireVersion}
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _ = conn.Write(hello)
 	var header [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(header[:], 100)
 	_, _ = conn.Write(header[:])
 	_, _ = conn.Write([]byte("1234"))
 	_ = conn.Close()
 
-	// Oversize: declare a ~4 GiB frame.
+	// Oversize: after a valid hello, declare a ~4 GiB frame.
 	conn, err = net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _ = conn.Write(hello)
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadFull(conn, header[:1]); err != nil || header[0] != wireVersion {
+		t.Fatalf("hello answer = %d, %v", header[0], err)
+	}
 	binary.BigEndian.PutUint32(header[:], 0xffffffff)
 	_, _ = conn.Write(header[:])
 	// The server must cut this connection itself.
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(header[:]); err == nil {
 		t.Error("server kept an oversize-frame connection open")
 	}
@@ -368,12 +378,12 @@ func TestUDPLossyPathRecovers(t *testing.T) {
 			}
 			drop = true
 			var req request
-			if nb < udpHeaderLen || decodeRequest(buf[udpHeaderLen:nb], &req, codecBinary) != nil {
+			if nb < udpHeaderLen || decodeRequest(buf[udpHeaderLen:nb], &req) != nil {
 				continue
 			}
 			resp := srv.dispatch(req)
-			out := append([]byte{'E', 'U', udpVersion, udpTypeResponse}, buf[4:udpHeaderLen]...)
-			out = appendResponse(out, &resp, codecBinary)
+			out := append([]byte{'E', 'U', wireVersion, udpTypeResponse}, buf[4:udpHeaderLen]...)
+			out = appendResponse(out, &resp)
 			_, _ = uc.WriteToUDP(out, raddr)
 		}
 	}()

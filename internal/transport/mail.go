@@ -3,8 +3,8 @@
 // failure modes §1.2 assumes (queue overflow, silent loss, delayed
 // delivery), and a TCP transport that lets real node.Node replicas gossip
 // across machines — pooled persistent sessions framed in a hand-rolled
-// binary codec (codec.go; gob survives behind a negotiated version byte
-// for mixed-version rollout), with a UDP fast path for single-datagram
+// binary codec (codec.go) whose one layout the connection hello names by
+// version (frame.go), with a UDP fast path for single-datagram
 // rumor pushes (udp.go). Network direct mail rides the same pooled
 // sessions and codec as every other request kind, so §1.2 mail pays no
 // separate encode path.

@@ -10,9 +10,9 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// mailRequests are field shapes specific to the codec-v5 mail section:
-// batched mail with engine telemetry, and the zero section every other
-// kind carries on a v5 session.
+// mailRequests are field shapes specific to the mail section: batched
+// mail with engine telemetry, and the zero section every other kind
+// carries.
 func mailRequests() []request {
 	return []request{
 		{
@@ -26,18 +26,18 @@ func mailRequests() []request {
 			MailCoalesced:   7,
 		},
 		{Kind: reqMailBatch, MailQueuedNanos: -1, MailCoalesced: 0},
-		{Kind: reqChecksum, Tau1: 42}, // empty mail section on v5
+		{Kind: reqChecksum, Tau1: 42}, // empty mail section
 	}
 }
 
-// TestCodecMailRoundTrip runs the mail shapes plus the whole pre-v5 table
-// through a codecBinaryMail session encode/decode.
+// TestCodecMailRoundTrip runs the mail shapes plus the shard and base
+// tables through encode/decode.
 func TestCodecMailRoundTrip(t *testing.T) {
 	all := append(mailRequests(), append(shardRequests(), codecRequests()...)...)
 	for i, req := range all {
-		payload := appendRequest(nil, &req, codecBinaryMail)
+		payload := appendRequest(nil, &req)
 		got := request{MailQueuedNanos: 99, MailCoalesced: 99}
-		if err := decodeRequest(payload, &got, codecBinaryMail); err != nil {
+		if err := decodeRequest(payload, &got); err != nil {
 			t.Fatalf("request case %d: decode: %v", i, err)
 		}
 		want := req
@@ -47,12 +47,12 @@ func TestCodecMailRoundTrip(t *testing.T) {
 			t.Errorf("request case %d: round trip\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	// Responses gain no v5 section; the whole table must still round-trip
-	// on a v5 session.
+	// Responses carry no mail section; the whole table must still
+	// round-trip.
 	for i, resp := range append(shardResponses(), codecResponses()...) {
-		payload := appendResponse(nil, &resp, codecBinaryMail)
+		payload := appendResponse(nil, &resp)
 		var got response
-		if err := decodeResponse(payload, &got, codecBinaryMail); err != nil {
+		if err := decodeResponse(payload, &got); err != nil {
 			t.Fatalf("response case %d: decode: %v", i, err)
 		}
 		want := resp
@@ -64,31 +64,14 @@ func TestCodecMailRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecMailSectionGatedByVersion pins the downgrade semantics: a pre-v5
-// encode drops the telemetry fields (they never reach an old peer), and a
-// pre-v5 frame decoded as such leaves them zero even in a dirty target.
-func TestCodecMailSectionGatedByVersion(t *testing.T) {
-	req := mailRequests()[0]
-	for _, codec := range []byte{codecBinary, codecBinaryDigest, codecBinaryShard} {
-		payload := appendRequest(nil, &req, codec)
-		got := request{MailQueuedNanos: 99, MailCoalesced: 99}
-		if err := decodeRequest(payload, &got, codec); err != nil {
-			t.Fatalf("codec %d: decode: %v", codec, err)
-		}
-		if got.MailQueuedNanos != 0 || got.MailCoalesced != 0 {
-			t.Errorf("codec %d: mail section leaked through: %+v", codec, got)
-		}
-	}
-}
-
-// TestCodecMailTruncationEveryPrefix chops v5 payloads at every length:
+// TestCodecMailTruncationEveryPrefix chops mail payloads at every length:
 // typed errors only, never a panic or a false success.
 func TestCodecMailTruncationEveryPrefix(t *testing.T) {
 	for i, req := range mailRequests() {
-		payload := appendRequest(nil, &req, codecBinaryMail)
+		payload := appendRequest(nil, &req)
 		for n := 0; n < len(payload); n++ {
 			var got request
-			err := decodeRequest(payload[:n], &got, codecBinaryMail)
+			err := decodeRequest(payload[:n], &got)
 			if err == nil {
 				t.Fatalf("case %d: decode of %d/%d-byte prefix succeeded", i, n, len(payload))
 			}
@@ -99,7 +82,7 @@ func TestCodecMailTruncationEveryPrefix(t *testing.T) {
 	}
 }
 
-// TestCodecMailBatchForgedEntryCount hand-builds a v5 mail-batch frame
+// TestCodecMailBatchForgedEntryCount hand-builds a mail-batch frame
 // whose entry count promises far more entries than the frame holds; the
 // count-vs-remaining check must refuse it before allocating.
 func TestCodecMailBatchForgedEntryCount(t *testing.T) {
@@ -108,13 +91,12 @@ func TestCodecMailBatchForgedEntryCount(t *testing.T) {
 	b = appendUint32(b, 1)
 	b = appendUint64(b, 0)
 	b = appendVarint(b, 0) // Now
-	b = appendVarint(b, 0) // Tau
 	b = appendVarint(b, 0) // Tau1
 	b = appendStamp(b, timestamp.T{})
 	b = appendVarint(b, 0)      // Limit
 	b = appendUvarint(b, 1<<40) // forged entry count
 	var got request
-	if err := decodeRequest(b, &got, codecBinaryMail); !errors.Is(err, ErrTruncatedFrame) {
+	if err := decodeRequest(b, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged mail-batch entry count: err = %v, want ErrTruncatedFrame", err)
 	}
 }

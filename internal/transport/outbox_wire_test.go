@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"sort"
 	"testing"
 	"time"
 
@@ -35,9 +34,8 @@ func outboxNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) (
 	return n, srv
 }
 
-// TestMailBatchOverTCP drives a multi-entry outbox drain through the
-// codec-v5 batched frame: after the first per-entry round trip settles the
-// session codec, a whole drain ships as one reqMailBatch.
+// TestMailBatchOverTCP drives multi-entry outbox drains through the
+// batched frame: a whole drain ships as one reqMailBatch.
 func TestMailBatchOverTCP(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	a, _ := outboxNode(t, 1, src)
@@ -47,12 +45,6 @@ func TestMailBatchOverTCP(t *testing.T) {
 	peer := NewTCPPeerWith(2, sb.Addr(), PeerOptions{Stats: ws})
 	a.SetPeers([]node.Peer{peer})
 
-	// First round primes the codec (one per-entry Mail round trip).
-	a.Update("prime", store.Value("v"))
-	if !a.FlushMail(0) {
-		t.Fatal("priming flush timed out")
-	}
-	// Second round: several keys drain as one batched frame.
 	for i := 0; i < 5; i++ {
 		a.Update(fmt.Sprintf("k%d", i), store.Value("v"))
 	}
@@ -67,90 +59,13 @@ func TestMailBatchOverTCP(t *testing.T) {
 	}
 	snap := ws.Snapshot()
 	if snap.MailBatches == 0 {
-		t.Error("no batched mail frames on a v5<->v5 session")
+		t.Error("no batched mail frames")
 	}
 	if snap.MailBatchEntries == 0 {
 		t.Error("batched frames carried no entries")
 	}
-	if snap.MailFallbackEntries != 0 {
-		t.Errorf("fallback entries = %d on a v5 session, want 0", snap.MailFallbackEntries)
-	}
 	if s := b.Stats(); s.MailBatchesReceived == 0 {
 		t.Error("receiver never counted a mail batch")
-	}
-}
-
-// TestMailBatchMixedCodecConvergence ships the same update set from a v5
-// sender to receivers pinned at every older codec level. Pre-v5 peers get
-// transparent per-entry fallback; everyone ends with the identical key
-// set.
-func TestMailBatchMixedCodecConvergence(t *testing.T) {
-	cases := []struct {
-		peerCodec string
-		batched   bool // the wire should show batched frames
-	}{
-		{"binary", true},
-		{"binary-v4", false},
-		{"gob", false},
-		{"legacy", false},
-	}
-	keys := []string{"alpha", "beta", "gamma", "delta"}
-	for _, tc := range cases {
-		t.Run(tc.peerCodec, func(t *testing.T) {
-			src := timestamp.NewSimulated(1 << 30)
-			a, _ := outboxNode(t, 1, src)
-			b, sb := outboxNode(t, 2, src)
-
-			ws := &WireStats{}
-			peer := NewTCPPeerWith(2, sb.Addr(), PeerOptions{Stats: ws, Codec: tc.peerCodec})
-			a.SetPeers([]node.Peer{peer})
-
-			a.Update("prime", store.Value("v"))
-			if !a.FlushMail(0) {
-				t.Fatal("priming flush timed out")
-			}
-			for _, k := range keys {
-				a.Update(k, store.Value("v-"+k))
-			}
-			if !a.FlushMail(0) {
-				t.Fatal("flush timed out")
-			}
-
-			var got []string
-			for _, k := range b.Store().Keys() {
-				if k != "prime" {
-					got = append(got, k)
-				}
-			}
-			sort.Strings(got)
-			want := append([]string(nil), keys...)
-			sort.Strings(want)
-			if len(got) != len(want) {
-				t.Fatalf("receiver keys = %v, want %v", got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("receiver keys = %v, want %v", got, want)
-				}
-			}
-
-			snap := ws.Snapshot()
-			if tc.batched {
-				if snap.MailBatches == 0 {
-					t.Error("v5 peer moved no batched frames")
-				}
-				if snap.MailFallbackEntries != 0 {
-					t.Errorf("v5 peer degraded %d entries to fallback", snap.MailFallbackEntries)
-				}
-			} else {
-				if snap.MailBatches != 0 {
-					t.Errorf("pre-v5 peer shipped %d batched frames", snap.MailBatches)
-				}
-				if snap.MailFallbackEntries == 0 {
-					t.Error("pre-v5 peer recorded no fallback entries")
-				}
-			}
-		})
 	}
 }
 

@@ -22,14 +22,14 @@ type shardVecScenario struct {
 // buildShardVecPair constructs a served remote node plus a local store with
 // the scenario's divergence. It returns the expected key sets each side is
 // missing: exactly what a correct repair must apply on each side.
-func buildShardVecPair(t *testing.T, sc shardVecScenario, serverCodec string, localShards, remoteShards int) (*store.Store, *node.Node, *Server, map[string]bool, map[string]bool) {
+func buildShardVecPair(t *testing.T, sc shardVecScenario, localShards, remoteShards int) (*store.Store, *node.Node, *Server, map[string]bool, map[string]bool) {
 	t.Helper()
 	src := timestamp.NewSimulated(1 << 30)
 	remote, err := node.New(node.Config{Site: 2, Clock: src.ClockAt(2), StoreShards: remoteShards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeWith(remote, "127.0.0.1:0", ServerOptions{Codec: serverCodec})
+	srv, err := Serve(remote, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,23 +72,17 @@ func sortedKeys(m map[string]bool) []string {
 // TestShardVectorRepairPropertyAcrossCodecs is the wire-level correctness
 // property: for random divergence scattered across shards, a shard-vector
 // exchange applies exactly the key set a global peel-back applies, and both
-// converge — across every codec negotiation pairing, including peers whose
-// shard counts make the vectors incomparable.
+// converge — between peers with equal shard counts (the narrow path) and
+// peers whose shard counts make the vectors incomparable (a recorded
+// downgrade to the global walk).
 func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 	cases := []struct {
 		name                      string
-		clientCodec, serverCodec  string
 		localShards, remoteShards int
 		wantShardVec              bool // narrow path should complete
-		wantDowngrade             bool // narrow path attempted but abandoned
 	}{
-		{"v4-v4", "binary", "binary", 16, 16, true, false},
-		{"v4-v3", "binary", "binary-v3", 16, 16, false, false},
-		{"v4-v2", "binary", "binary-v2", 16, 16, false, false},
-		{"v4-gob", "binary", "gob", 16, 16, false, false},
-		{"v3-v4", "binary-v3", "binary", 16, 16, false, false},
-		{"legacy-v4", "legacy", "binary", 16, 16, false, false},
-		{"v4-v4-mismatched-shards", "binary", "binary", 16, 64, false, true},
+		{"equal-shards", 16, 16, true},
+		{"mismatched-shards", 16, 64, false},
 	}
 	sc := shardVecScenario{shared: 300, localOnly: 25, remoteOnly: 25, seed: 0x5eed}
 
@@ -96,11 +90,11 @@ func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(disable bool) (st core.ExchangeStats, snap WireSnapshot, local *store.Store, remote *node.Node) {
 				local, remote, srv, localMissing, remoteMissing := buildShardVecPair(
-					t, sc, tc.serverCodec, tc.localShards, tc.remoteShards)
+					t, sc, tc.localShards, tc.remoteShards)
 				defer srv.Close()
 				stats := &WireStats{}
 				peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{
-					Codec: tc.clientCodec, DisableShardVector: disable, Stats: stats,
+					DisableShardVector: disable, Stats: stats,
 				})
 				defer peer.Close()
 				st, err := peer.AntiEntropy(core.ResolveConfig{
@@ -139,7 +133,7 @@ func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 			// here pin which mechanism did the work.
 			if tc.wantShardVec {
 				if snap.ShardVecExchanges == 0 {
-					t.Error("shard-vector path not taken on a v4<->v4 session")
+					t.Error("shard-vector path not taken between equal shard counts")
 				}
 				if snap.ShardVecDowngrades != 0 {
 					t.Errorf("unexpected downgrades: %d", snap.ShardVecDowngrades)
@@ -151,11 +145,8 @@ func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 				if snap.ShardVecExchanges != 0 {
 					t.Errorf("shard-vector path ran on %s: %+v", tc.name, snap)
 				}
-				if tc.wantDowngrade && snap.ShardVecDowngrades == 0 {
+				if snap.ShardVecDowngrades == 0 {
 					t.Error("expected a recorded downgrade")
-				}
-				if !tc.wantDowngrade && snap.ShardVecDowngrades != 0 {
-					t.Errorf("unexpected downgrade on %s", tc.name)
 				}
 			}
 			if pbStats.ShardsRepaired != 0 {
@@ -181,11 +172,11 @@ func equalStrings(a, b []string) bool {
 // enough to occupy every worker and checks the parallel repair is exact.
 func TestShardVectorWorkerPoolRepairsManyShards(t *testing.T) {
 	sc := shardVecScenario{shared: 200, localOnly: 120, remoteOnly: 120, seed: 7}
-	local, remote, srv, localMissing, _ := buildShardVecPair(t, sc, "binary", 32, 32)
+	local, remote, srv, localMissing, _ := buildShardVecPair(t, sc, 32, 32)
 	defer srv.Close()
 	stats := &WireStats{}
 	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{
-		Codec: "binary", Stats: stats, ShardRepairWorkers: 8,
+		Stats: stats, ShardRepairWorkers: 8,
 	})
 	defer peer.Close()
 	st, err := peer.AntiEntropy(core.ResolveConfig{

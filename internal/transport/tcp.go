@@ -23,15 +23,15 @@ import (
 // request/response pairs per TCP connection. The anti-entropy exchange is
 // the §1.3 checksum scheme compared as of a cut. Round 0 (reqSync) fixes
 // the cut c at the initiator's clock reading and swaps live checksums over
-// the entries stamped at or before c; shard-capable sessions fold the
-// per-shard checksum vectors into the same round trip. Agreeing sums end
-// the conversation with no entries shipped. On mismatch the two sides peel
-// back from c through the diverged shards (or, without vectors, the whole
-// database) in reverse-timestamp batches, re-comparing the cut checksums
-// after each batch, so a conversation ships O(δ) entries for δ differing
-// keys. Writes stamped after c never move the target: mail, rumors and
-// the next conversation carry them. No recent-update list crosses the
-// wire. A full database swap survives only as a capped last resort.
+// the entries stamped at or before c, with the per-shard checksum vectors
+// folded into the same round trip. Agreeing sums end the conversation with
+// no entries shipped. On mismatch the two sides peel back from c through
+// the diverged shards (or, without vectors, the whole database) in
+// reverse-timestamp batches, re-comparing the cut checksums after each
+// batch, so a conversation ships O(δ) entries for δ differing keys. Writes
+// stamped after c never move the target: mail, rumors and the next
+// conversation carry them. No recent-update list crosses the wire. A full
+// database swap survives only as a capped last resort.
 type reqKind int
 
 const (
@@ -43,8 +43,8 @@ const (
 	reqChecksum      // live checksum probe (§1.5 combined scheme), or as of a cut
 	reqPeelBack      // one reverse-timestamp batch + checksum re-check (§1.3)
 	_                // reserved: kind numbers are on the wire
-	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum (codec v4)
-	reqMailBatch     // one outbox drain: many mail entries in one frame (codec v5)
+	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum
+	reqMailBatch     // one outbox drain: many mail entries in one frame
 )
 
 // kindName names a request kind for logs and metric labels.
@@ -81,10 +81,7 @@ type request struct {
 	// Now is the conversation's cut on every anti-entropy request: the
 	// initiator's clock reading at round 0. Figures count only entries
 	// stamped at or before it, and dormancy is judged at it.
-	Now int64
-	// Tau is a reserved wire slot, always zero, so the frame layout stays
-	// fixed.
-	Tau  int64
+	Now  int64
 	Tau1 int64 // death-certificate dormancy threshold
 	// Bound and Limit drive the server's side of the peel-back walk
 	// (reqPeelBack): the server returns up to Limit entries strictly older
@@ -93,29 +90,24 @@ type request struct {
 	Bound timestamp.T
 	Limit int
 	// Hops carries one provenance envelope per entry in Entries when the
-	// sender traces. nil — the common untraced case — is omitted from the
-	// gob frame entirely, so disabled tracing adds zero wire bytes.
+	// sender traces. nil — the common untraced case — costs one zero byte.
 	Hops []trace.Hop
 	// Digests piggybacks the sender's cluster-digest view on reqSync and
 	// reqPullRumors conversations (the observatory's epidemic channel).
-	// nil when the observatory is off: omitted from gob frames, one zero
-	// byte on codecBinaryDigest sessions, absent entirely on v2 binary.
+	// nil when the observatory is off: one zero byte.
 	Digests []cluster.Digest
 	// Shard addresses one lock stripe for reqPeelBackShard; ShardCount is
 	// the sender's store shard count (vector compares and shard walks are
 	// only meaningful between stores with identical key→shard maps).
 	// Vector carries the sender's per-shard checksums as of the cut on
-	// reqSync. All three ride the codec-v4 trailing section (three
-	// near-zero bytes when unused) or plain gob fields.
+	// reqSync. Unused, the three cost three zero bytes.
 	Shard      int
 	ShardCount int
 	Vector     []uint64
 	// MailQueuedNanos and MailCoalesced are a reqMailBatch's sender-side
 	// outbox telemetry: the queueing age of the batch's oldest entry and
-	// the supersessions coalesced away while it queued. They ride the
-	// codec-v5 trailing section (two bytes on non-mail requests); pre-v5
-	// peers never receive reqMailBatch at all — the client falls back to
-	// per-entry reqMail.
+	// the supersessions coalesced away while it queued. Two zero bytes on
+	// every other kind.
 	MailQueuedNanos int64
 	MailCoalesced   int64
 }
@@ -125,10 +117,6 @@ type response struct {
 	Entries  []store.Entry
 	InSync   bool
 	Checksum uint64
-	// Now is a reserved wire slot, always zero, so the frame layout stays
-	// fixed: every figure in a conversation is taken at the initiator's
-	// cut.
-	Now int64
 	// Bound and More resume the server's peel-back walk: Bound is the
 	// oldest index record the server examined, More whether records older
 	// than it remain.
@@ -157,55 +145,26 @@ const (
 	serverWriteTimeout = 30 * time.Second
 )
 
-// ServerOptions tunes a Server. The zero value serves every codec and
-// binds the UDP fast path.
+// ServerOptions tunes a Server. The zero value binds the UDP fast path.
 type ServerOptions struct {
-	// Codec caps the codec the handshake may settle on: "" or "binary"
-	// (serve both, prefer binary), or "gob" (never negotiate binary — the
-	// rollout safety valve). Legacy clients that send no hello always get a
-	// gob session regardless.
+	// Codec names the wire format: "" or "binary", the only one there is.
+	// ServeWith refuses any other name.
 	Codec string
 	// DisableUDP skips binding the UDP fast-path socket; rumor pushes from
 	// UDP-enabled peers then time out once and fall back to pooled TCP.
 	DisableUDP bool
 }
 
-// parseCodec maps a codec flag value to the wire byte. legacy reports the
-// client-only mode that skips the hello for pre-negotiation servers. The
-// pinned "binary-v2"/"binary-v3"/"binary-v4" names cap negotiation at an
-// older binary version — rollout valves (and mixed-version test handles)
-// for clusters still carrying pre-digest, pre-shard-vector, or
-// pre-batched-mail builds.
-func parseCodec(name string) (codec byte, legacy bool, err error) {
-	switch name {
-	case "", "binary":
-		return codecBinaryMail, false, nil
-	case "binary-v2":
-		return codecBinary, false, nil
-	case "binary-v3":
-		return codecBinaryDigest, false, nil
-	case "binary-v4":
-		return codecBinaryShard, false, nil
-	case "gob":
-		return codecGob, false, nil
-	case "legacy":
-		return codecGob, true, nil
-	default:
-		return 0, false, fmt.Errorf("transport: unknown codec %q (want binary, binary-v2, binary-v3, binary-v4, gob, or legacy)", name)
-	}
-}
-
 // Server exposes a node.Node to remote TCPPeers over persistent framed
 // sessions, plus a UDP socket on the same port for single-datagram rumor
 // pushes.
 type Server struct {
-	node     *node.Node
-	ln       net.Listener
-	udp      *net.UDPConn // nil when the fast path is disabled
-	maxCodec byte
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	done     bool
+	node *node.Node
+	ln   net.Listener
+	udp  *net.UDPConn // nil when the fast path is disabled
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	done bool
 
 	conns map[net.Conn]struct{}
 
@@ -222,23 +181,18 @@ func Serve(n *node.Node, addr string) (*Server, error) {
 
 // ServeWith starts a server with explicit options.
 func ServeWith(n *node.Node, addr string, opts ServerOptions) (*Server, error) {
-	maxCodec, legacy, err := parseCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
-	if legacy {
-		maxCodec = codecGob // "legacy" is a client mode; serve it as gob
+	if opts.Codec != "" && opts.Codec != "binary" {
+		return nil, fmt.Errorf("transport: unknown codec %q (the only wire format is binary)", opts.Codec)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	s := &Server{
-		node:     n,
-		ln:       ln,
-		maxCodec: maxCodec,
-		conns:    make(map[net.Conn]struct{}),
-		log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
+		node:  n,
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
+		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	if !opts.DisableUDP {
 		// Same port as TCP so one advertised address serves both paths. A
@@ -355,19 +309,24 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one persistent session: the handshake fixes the codec,
-// then requests are read and answered on the same framed streams until the
-// client disconnects, the session idles out, or the stream breaks. One
+// handle serves one persistent session: after the hello, requests are
+// read and answered on the same framed streams until the client
+// disconnects, the session idles out, or the stream breaks. A connection
+// that does not open with this build's hello is closed unserved. One
 // request/response pair is kept alive across the loop so a steady-state
-// binary session serves without allocating.
+// session serves without allocating.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	sess := newSession(conn, maxWireBytes, codecGob)
+	sess := newSession(conn, maxWireBytes)
 	_ = conn.SetReadDeadline(time.Now().Add(serverIdleTimeout))
-	if err := sess.serverHandshake(s.maxCodec); err != nil {
+	log, observe := s.instruments()
+	if err := sess.serverHandshake(); err != nil {
+		if errors.Is(err, ErrWireVersion) {
+			log.Warn("gossip connection refused",
+				"remote", conn.RemoteAddr().String(), "err", err)
+		}
 		return
 	}
-	log, observe := s.instruments()
 	// slog's variadic attrs allocate even against a discard handler, so the
 	// per-request Debug line is gated on the handler level once per session.
 	debug := log.Enabled(context.Background(), slog.LevelDebug)
@@ -589,12 +548,8 @@ type PeerOptions struct {
 	// conversation before falling back to a full database swap (default
 	// 32).
 	MaxPeelRounds int
-	// Codec selects the wire codec the peer asks for in the connection
-	// handshake: "" or "binary" (the hand-rolled codec, with negotiation
-	// falling back to gob against an old server),
-	// "binary-v2"/"binary-v3"/"binary-v4" (pin an older binary version),
-	// "gob" (negotiate but stick to gob), or "legacy" (send no hello at
-	// all — wire-compatible with pre-negotiation daemons).
+	// Codec is unused: there is one wire format. The field stays so
+	// callers that set "binary" keep compiling.
 	Codec string
 	// UDP enables the single-datagram fast path for rumor pushes (udp.go).
 	// Pushes that exceed the datagram budget, or that get no response
@@ -608,10 +563,10 @@ type PeerOptions struct {
 	// UDPBudget caps the datagram size for the fast path (default 1200
 	// bytes, a conservative single-MTU figure).
 	UDPBudget int
-	// DisableShardVector turns off the codec-v4 shard-vector anti-entropy
-	// path: conversations then always use the global peel-back walk, as
-	// pre-v4 peers do. The zero value enables it (it self-disables against
-	// peers that cannot negotiate v4 or whose shard count differs).
+	// DisableShardVector turns off the shard-vector anti-entropy path:
+	// conversations then always use the global peel-back walk. The zero
+	// value enables it (it downgrades itself against peers whose shard
+	// count differs).
 	DisableShardVector bool
 	// ShardRepairWorkers bounds the diverged shards repaired concurrently
 	// during one shard-vector exchange (default 4). Each worker runs its
@@ -686,17 +641,11 @@ func NewTCPPeer(id timestamp.SiteID, addr string) *TCPPeer {
 // NewTCPPeerWith addresses a remote replica with explicit options.
 func NewTCPPeerWith(id timestamp.SiteID, addr string, opts PeerOptions) *TCPPeer {
 	opts = opts.withDefaults()
-	prefer, legacy, err := parseCodec(opts.Codec)
-	if err != nil {
-		// An unknown codec name cannot surface from a constructor with this
-		// signature; fail toward the interoperable default.
-		prefer, legacy = codecBinary, false
-	}
 	return &TCPPeer{
 		id:   id,
 		addr: addr,
 		opts: opts,
-		pool: newPool(addr, opts.PoolSize, opts.Timeout, prefer, legacy, opts.Stats),
+		pool: newPool(addr, opts.PoolSize, opts.Timeout, opts.Stats),
 	}
 }
 
@@ -810,9 +759,7 @@ func (p *TCPPeer) Mail(e store.Entry, hop trace.Hop) error {
 }
 
 // MailBatch implements node.BatchMailer: one outbox drain rides one
-// reqMailBatch frame on a codec-v5 session. Against older peers the batch
-// transparently degrades to per-entry Mail round trips — negotiation
-// guarantees a pre-v5 server never sees the new request kind.
+// reqMailBatch frame.
 func (p *TCPPeer) MailBatch(b node.MailBatch) error {
 	entries, hops := b.Entries, b.Hops
 	if len(entries) == 0 {
@@ -820,29 +767,6 @@ func (p *TCPPeer) MailBatch(b node.MailBatch) error {
 	}
 	if len(entries) == 1 {
 		return p.Mail(entries[0], hopAt(hops, 0))
-	}
-	if !p.pool.mailCapable() {
-		// Before the first handshake the session codec is unknown (a fresh
-		// pool reports gob). One per-entry round trip both delivers the
-		// head and settles the codec; re-check before shipping the rest.
-		if err := p.Mail(entries[0], hopAt(hops, 0)); err != nil {
-			return err
-		}
-		entries = entries[1:]
-		if len(hops) > 0 {
-			hops = hops[1:]
-		}
-		if !p.pool.mailCapable() {
-			// Genuinely pre-v5 peer: per-entry fallback for the remainder.
-			p.opts.Stats.noteMailFallback(len(entries))
-			var first error
-			for i := range entries {
-				if err := p.Mail(entries[i], hopAt(hops, i)); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		}
 	}
 	c := getWireCall()
 	defer putWireCall(c)
@@ -909,7 +833,7 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 // AntiEntropy implements node.Peer: the §1.3 checksum exchange over the
 // wire, compared as of a cut. Round 0 fixes the cut at this replica's
 // clock reading and swaps checksums over the entries stamped at or before
-// it, plus the per-shard vectors on shard-capable sessions; agreeing sums
+// it, plus the per-shard vectors unless DisableShardVector; agreeing sums
 // end the conversation with nothing shipped. On mismatch the diverged
 // shards (or, without comparable vectors, the whole database) peel back
 // newest-first from the cut in reverse-timestamp batches, re-comparing the
@@ -933,11 +857,8 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		Tau1:    cfg.Tau1,
 		Digests: p.opts.Digests.Share(),
 	}
-	// Carry the vector unless the session is known to lack the shard
-	// section: before the first handshake the codec is unknown, and a
-	// pre-v4 binary session leaves the vector off the wire.
 	var vec []uint64
-	if !p.opts.DisableShardVector && (p.pool.shardCapable() || !p.pool.negotiated()) {
+	if !p.opts.DisableShardVector {
 		vec = c.setVector(local, cut, cfg.Tau1)
 	} else {
 		c.req.Checksum = local.ChecksumAt(cut, cfg.Tau1)
@@ -957,7 +878,7 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 	// diverged shards, in parallel; any wrinkle (mismatched shard counts,
 	// a mid-conversation topology change, a shard over its peel budget)
 	// downgrades to the global walk.
-	if vec != nil && p.pool.shardCapable() {
+	if vec != nil {
 		// The repair workers capture the stats pointer, which would force
 		// st itself onto the heap for every conversation — including the
 		// allocation-free in-sync fast path above. Hand them a copy that

@@ -318,7 +318,7 @@ func TestServerRejectsGarbageBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte("this is not gob")); err != nil {
+	if _, err := conn.Write([]byte("this is not a hello")); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.Close()

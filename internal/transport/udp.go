@@ -28,10 +28,10 @@ import (
 // Datagram layout (both directions):
 //
 //	[0..1]  magic 'E','U'
-//	[2]     protocol version (1)
+//	[2]     wireVersion (frame.go), shared with the TCP hello
 //	[3]     type: 0 request, 1 response
 //	[4..11] MsgID, big-endian
-//	[12..]  body: the binary codec's request/response encoding (codec.go)
+//	[12..]  body: the request/response encoding of codec.go
 //
 // Retried pushes are idempotent merges, but a retry whose first copy was
 // applied (response lost) reports needed=false for entries the peer did in
@@ -39,7 +39,6 @@ import (
 // harmless to the rumor counters.
 
 const (
-	udpVersion      = 1
 	udpTypeRequest  = 0
 	udpTypeResponse = 1
 	udpHeaderLen    = 12
@@ -141,9 +140,9 @@ func (c *udpClient) roundTrip(req *request, resp *response) (ok bool) {
 	if c.closed.Load() {
 		return false
 	}
-	dgram := append(c.dgram[:0], 'E', 'U', udpVersion, udpTypeRequest,
+	dgram := append(c.dgram[:0], 'E', 'U', wireVersion, udpTypeRequest,
 		0, 0, 0, 0, 0, 0, 0, 0) // MsgID placeholder
-	dgram = appendRequest(dgram, req, codecBinary)
+	dgram = appendRequest(dgram, req)
 	c.dgram = dgram
 	if len(dgram) > c.budget {
 		c.stats.noteUDPOversize()
@@ -180,14 +179,14 @@ func (c *udpClient) roundTrip(req *request, resp *response) (ok bool) {
 			}
 			b := c.rbuf[:n]
 			if n < udpHeaderLen || b[0] != 'E' || b[1] != 'U' ||
-				b[2] != udpVersion || b[3] != udpTypeResponse {
+				b[2] != wireVersion || b[3] != udpTypeResponse {
 				continue // noise
 			}
 			if binary.BigEndian.Uint64(b[4:udpHeaderLen]) != id {
 				continue // stale response from an earlier attempt
 			}
 			c.stats.noteUDPTraffic(0, int64(n))
-			if err := decodeResponse(b[udpHeaderLen:n], resp, codecBinary); err != nil {
+			if err := decodeResponse(b[udpHeaderLen:n], resp); err != nil {
 				break reading // corrupt response: treat as loss, retry
 			}
 			c.down.Store(0)
@@ -217,10 +216,10 @@ func (s *Server) serveUDP(conn *net.UDPConn) {
 			continue
 		}
 		if n < udpHeaderLen || buf[0] != 'E' || buf[1] != 'U' ||
-			buf[2] != udpVersion || buf[3] != udpTypeRequest {
+			buf[2] != wireVersion || buf[3] != udpTypeRequest {
 			continue
 		}
-		if err := decodeRequest(buf[udpHeaderLen:n], &req, codecBinary); err != nil {
+		if err := decodeRequest(buf[udpHeaderLen:n], &req); err != nil {
 			continue // garbage body: silent drop, the client will retry
 		}
 		var resp response
@@ -234,9 +233,9 @@ func (s *Server) serveUDP(conn *net.UDPConn) {
 		default:
 			resp = response{Err: "request kind not served over UDP"}
 		}
-		wbuf = append(wbuf[:0], 'E', 'U', udpVersion, udpTypeResponse)
+		wbuf = append(wbuf[:0], 'E', 'U', wireVersion, udpTypeResponse)
 		wbuf = append(wbuf, buf[4:udpHeaderLen]...) // echo MsgID
-		wbuf = appendResponse(wbuf, &resp, codecBinary)
+		wbuf = appendResponse(wbuf, &resp)
 		if len(wbuf) <= udpReadBuf {
 			_, _ = conn.WriteToUDP(wbuf, raddr)
 		}

@@ -1,7 +1,13 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,95 +36,112 @@ func wireNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) *no
 	return n
 }
 
-// TestCodecNegotiationMatrix drives every client codec mode against every
-// server ceiling and checks which codec the handshake settles on.
-func TestCodecNegotiationMatrix(t *testing.T) {
+// TestServerRefusesForeignOpenings opens connections the way older builds
+// and strangers would — a version-5 hello, a hello-less length-prefixed
+// frame (the old legacy dialect), and bytes that are no hello at all —
+// each followed by a well-formed mail frame. The server must serve none of
+// them and close each connection; a hello naming another version is
+// answered with this build's version first. A real client still works.
+func TestServerRefusesForeignOpenings(t *testing.T) {
+	src := timestamp.NewSimulated(1 << 30)
+	n := wireNode(t, 1, src)
+	srv, err := Serve(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var served atomic.Int64
+	srv.SetObserver(func(string, time.Duration) { served.Add(1) })
+
 	for _, tc := range []struct {
-		server, client string
-		wantBinary     bool
+		name    string
+		opening []byte
+		frame   bool   // follow the opening with a well-formed mail frame
+		answer  []byte // what the server writes before closing
 	}{
-		{"binary", "binary", true},
-		{"binary", "gob", false},
-		{"binary", "legacy", false},
-		{"gob", "binary", false},
-		{"gob", "gob", false},
-		{"gob", "legacy", false},
+		// A hello alone, so the server's answer is not raced by a reset.
+		{"v5-hello", []byte{'E', 'P', 'G', 5}, false, []byte{wireVersion}},
+		{"legacy-frame", nil, true, nil},
+		{"not-epg", []byte("GET / HTTP/1.0\r\n\r\n"), true, nil},
 	} {
-		t.Run(tc.server+"/"+tc.client, func(t *testing.T) {
-			src := timestamp.NewSimulated(1 << 30)
-			n := wireNode(t, 1, src)
-			srv, err := ServeWith(n, "127.0.0.1:0", ServerOptions{Codec: tc.server})
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer srv.Close()
-			stats := &WireStats{}
-			peer := NewTCPPeerWith(1, srv.Addr(), PeerOptions{Codec: tc.client, Stats: stats})
-			defer peer.Close()
-			if err := peer.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 2}}, trace.Hop{}); err != nil {
+			defer conn.Close()
+			msg := append([]byte(nil), tc.opening...)
+			if tc.frame {
+				req := request{Kind: reqMail, Entries: []store.Entry{
+					{Key: tc.name, Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 2}},
+				}}
+				payload := appendRequest(nil, &req)
+				msg = binary.BigEndian.AppendUint32(msg, uint32(len(payload)))
+				msg = append(msg, payload...)
+			}
+			if _, err := conn.Write(msg); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := n.Lookup("k"); !ok {
-				t.Fatal("mail not applied")
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			got, err := io.ReadAll(conn)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("server kept the connection open")
 			}
-			snap := stats.Snapshot()
-			if tc.wantBinary && (snap.SessionsBinary != 1 || snap.SessionsGob != 0 || snap.MsgsBinary == 0) {
-				t.Errorf("wanted a binary session, stats = %+v", snap)
+			// Unread bytes at close may turn the FIN into a reset, which
+			// also closes the connection; only a clean close shows the answer.
+			if err == nil && !bytes.Equal(got, tc.answer) {
+				t.Errorf("server wrote %v before closing, want %v", got, tc.answer)
 			}
-			if !tc.wantBinary && (snap.SessionsGob != 1 || snap.SessionsBinary != 0 || snap.MsgsGob == 0) {
-				t.Errorf("wanted a gob session, stats = %+v", snap)
+			if _, ok := n.Lookup(tc.name); ok {
+				t.Error("the refused connection's mail was applied")
 			}
 		})
 	}
+	if got := served.Load(); got != 0 {
+		t.Fatalf("server served %d requests on refused connections", got)
+	}
+
+	peer := NewTCPPeer(1, srv.Addr())
+	defer peer.Close()
+	if err := peer.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 2}}, trace.Hop{}); err != nil {
+		t.Fatalf("well-formed client after refusals: %v", err)
+	}
+	if _, ok := n.Lookup("k"); !ok {
+		t.Fatal("mail from a well-formed client not applied")
+	}
 }
 
-// TestMixedCodecNodesConverge is the rollout acceptance property: a
-// binary-codec node and a gob-only node still converge through
-// anti-entropy, the handshake falling back cleanly in both directions.
-func TestMixedCodecNodesConverge(t *testing.T) {
-	src := timestamp.NewSimulated(1 << 30)
-	newNode := wireNode(t, 1, src) // speaks binary
-	oldNode := wireNode(t, 2, src) // capped at gob, like a pre-rollout daemon
-
-	newSrv, err := ServeWith(newNode, "127.0.0.1:0", ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer newSrv.Close()
-	oldSrv, err := ServeWith(oldNode, "127.0.0.1:0", ServerOptions{Codec: "gob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldSrv.Close()
-
-	newStats, oldStats := &WireStats{}, &WireStats{}
-	// The new node prefers binary; against the old server it must settle on
-	// gob. The old node is configured legacy (no hello at all), which the
-	// new server must serve as plain gob.
-	newNode.SetPeers([]node.Peer{NewTCPPeerWith(2, oldSrv.Addr(), PeerOptions{Codec: "binary", Stats: newStats})})
-	oldNode.SetPeers([]node.Peer{NewTCPPeerWith(1, newSrv.Addr(), PeerOptions{Codec: "legacy", Stats: oldStats})})
-
-	newNode.Update("from-new", store.Value("1"))
-	oldNode.Update("from-old", store.Value("2"))
-	for round := 0; round < 20; round++ {
-		if err := newNode.StepAntiEntropy(); err != nil {
-			t.Fatal(err)
+// TestClientRejectsOtherWireVersion points a peer at a server that answers
+// the hello with version 5: every request must fail with an error naming
+// both versions, and the pool must not keep the session.
+func TestClientRejectsOtherWireVersion(t *testing.T) {
+	addr := fakeServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		var hello [4]byte
+		if _, err := io.ReadFull(conn, hello[:]); err != nil {
+			return
 		}
-		if err := oldNode.StepAntiEntropy(); err != nil {
-			t.Fatal(err)
+		_, _ = conn.Write([]byte{5})
+		_, _ = io.Copy(io.Discard, conn) // hold the connection until the client drops it
+	})
+	stats := &WireStats{}
+	peer := NewTCPPeerWith(1, addr, PeerOptions{Timeout: time.Second, Stats: stats})
+	defer peer.Close()
+	e := store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 2}}
+	for i := 0; i < 2; i++ {
+		err := peer.Mail(e, trace.Hop{})
+		if !errors.Is(err, ErrWireVersion) {
+			t.Fatalf("attempt %d: err = %v, want ErrWireVersion", i, err)
 		}
-		if store.ContentEqual(newNode.Store(), oldNode.Store()) {
-			break
+		if msg := err.Error(); !strings.Contains(msg, "version 5") || !strings.Contains(msg, "speaks 6") {
+			t.Errorf("attempt %d: error %q does not name both versions", i, msg)
 		}
 	}
-	if !store.ContentEqual(newNode.Store(), oldNode.Store()) {
-		t.Fatal("mixed-codec nodes never converged")
+	if idle := peer.pool.openIdle(); idle != 0 {
+		t.Errorf("pool kept %d sessions of another version", idle)
 	}
-	if snap := newStats.Snapshot(); snap.SessionsBinary != 0 || snap.SessionsGob == 0 {
-		t.Errorf("new->old sessions should have negotiated down to gob: %+v", snap)
-	}
-	if snap := oldStats.Snapshot(); snap.SessionsBinary != 0 || snap.SessionsGob == 0 {
-		t.Errorf("legacy->new sessions should be gob: %+v", snap)
+	if snap := stats.Snapshot(); snap.Dials != 2 || snap.OpenConns != 0 {
+		t.Errorf("each attempt should dial afresh and close: %+v", snap)
 	}
 }
 
@@ -272,9 +295,9 @@ func TestUDPServerSurvivesGarbageDatagrams(t *testing.T) {
 	for _, payload := range [][]byte{
 		{},
 		{'E', 'U'},
-		{'E', 'U', udpVersion, udpTypeRequest}, // header only, no body
+		{'E', 'U', wireVersion, udpTypeRequest}, // header only, no body
 		[]byte("complete nonsense of a datagram"),
-		append([]byte{'E', 'U', udpVersion, udpTypeRequest, 0, 0, 0, 0, 0, 0, 0, 1}, 0xff, 0xff, 0xff),
+		append([]byte{'E', 'U', wireVersion, udpTypeRequest, 0, 0, 0, 0, 0, 0, 0, 1}, 0xff, 0xff, 0xff),
 	} {
 		if _, err := noisy.Write(payload); err != nil {
 			t.Fatal(err)
