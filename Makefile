@@ -17,8 +17,9 @@ STORE_BENCH = -run '^$$' -bench BenchmarkStore -benchtime=200000x -cpu 1,4,8 -be
 WIRE_BENCH = -run '^$$' -bench '^(BenchmarkExchange|BenchmarkRumorPush)' -benchtime=2000x -benchmem .
 CODEC_BENCH = -run '^$$' -bench Codec -benchtime=20000x -benchmem ./internal/transport
 # DEEP_BENCH is the deep-divergence family: delta old entries buried under
-# {10k,100k} newer ones, shard-vector vs global peel-back. Few iterations —
-# the global baseline walks the whole index per op by design.
+# {10k,100k} newer ones, repaired through the shard vector at the store's
+# 16 stripes. Few iterations — at 100k each diverged stripe walks ~6k
+# records per op.
 DEEP_BENCH = -run '^$$' -bench BenchmarkDeepDivergence -benchtime=3x -benchmem .
 # FANOUT_BENCH / APPLY_BENCH pin the outbound-engine benchmarks: direct
 # mail to 1ms-latency peers, serial vs worker-pool outbox, and the
@@ -123,7 +124,7 @@ bench-node:
 # bench-smoke is the compile-and-run gate inside check: the deep-divergence
 # family at one iteration on the 10k store, so bench code can't rot between
 # BENCH_2.json refreshes. The 100k rows are left to bench/bench-transport —
-# the global baseline there walks 100k records per op by design.
+# a diverged stripe there walks ~6k records per op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeepDivergence[^/]*/n10000_' -benchtime=1x -benchmem .
 

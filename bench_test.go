@@ -736,20 +736,28 @@ func BenchmarkExchangePeelBackMismatch(b *testing.B) {
 	b.ReportMetric(shared, "store_entries")
 }
 
-// --- deep-divergence benchmarks: shard-vector vs global peel-back ---
+// --- deep-divergence benchmarks: shard-vector repair ---
 
-// benchDeepDivergence reconciles delta old-stamped entries buried under n
-// newer shared entries. The global peel-back walk must re-examine all n
-// newer records newest-first before it reaches the divergence; the
-// shard-vector path localizes the mismatch to the handful of diverged
-// lock stripes and walks only those, examining O(delta + n/shards)
-// records per conversation.
-func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
-	const shards = 256
+// BenchmarkDeepDivergenceShardVec reconciles delta old-stamped entries
+// buried under n newer shared entries. Round 0 swaps the store.Shards x
+// 8-byte checksum vectors, then only the diverged stripes peel back; each
+// walks its own index newest-first down to the buried entries, examining
+// O(delta + n/16) records per diverged stripe. MaxPeelRounds is raised so
+// the deepest rows (n=100k, ~100 rounds per stripe) finish on the narrow
+// path instead of the capped full swap.
+func BenchmarkDeepDivergenceShardVec(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		for _, delta := range []int{1, 10, 100} {
+			b.Run(fmt.Sprintf("n%d_d%d", n, delta), func(b *testing.B) {
+				benchDeepDivergence(b, n, delta)
+			})
+		}
+	}
+}
+
+func benchDeepDivergence(b *testing.B, n, delta int) {
 	src := epidemic.NewSimulatedClock(1 << 30)
-	remote, err := epidemic.NewNode(epidemic.NodeConfig{
-		Site: 2, Clock: src.ClockAt(2), StoreShards: shards,
-	})
+	remote, err := epidemic.NewNode(epidemic.NodeConfig{Site: 2, Clock: src.ClockAt(2)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -759,7 +767,7 @@ func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 	}
 	defer srv.Close()
 
-	local := epidemic.NewShardedStore(1, src.ClockAt(1), shards)
+	local := epidemic.NewStore(1, src.ClockAt(1))
 	for i := 0; i < n; i++ {
 		e := local.Update(fmt.Sprintf("k%07d", i), epidemic.Value("v"))
 		remote.Store().Apply(e)
@@ -771,14 +779,7 @@ func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 		Mode: epidemic.PushPull, Strategy: epidemic.CompareRecent,
 		Tau: 10, Tau1: 1 << 40, BatchSize: 64,
 	}
-	opts := epidemic.TCPPeerOptions{}
-	if !shardVec {
-		// The global walk has to peel all the way down to the divergence
-		// without tripping the capped full-swap last resort.
-		opts.DisableShardVector = true
-		opts.MaxPeelRounds = 1 << 20
-	}
-	peer := epidemic.NewTCPPeerWith(2, srv.Addr(), opts)
+	peer := epidemic.NewTCPPeerWith(2, srv.Addr(), epidemic.TCPPeerOptions{MaxPeelRounds: 1 << 20})
 	defer peer.Close()
 	if _, err := peer.AntiEntropy(cfg, local, nil); err != nil {
 		b.Fatal(err)
@@ -805,7 +806,7 @@ func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 		if st.FullCompare {
 			b.Fatal("deep divergence degraded to a full database swap")
 		}
-		if shardVec && st.ShardsRepaired == 0 {
+		if st.ShardsRepaired == 0 {
 			b.Fatal("shard-vector path not taken")
 		}
 		moved += st.Transferred()
@@ -813,24 +814,6 @@ func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 	b.ReportMetric(float64(moved)/float64(b.N), "entries_moved/op")
 	b.ReportMetric(float64(n), "store_entries")
 }
-
-func benchDeepDivergenceGrid(b *testing.B, shardVec bool) {
-	for _, n := range []int{10_000, 100_000} {
-		for _, delta := range []int{1, 10, 100} {
-			b.Run(fmt.Sprintf("n%d_d%d", n, delta), func(b *testing.B) {
-				benchDeepDivergence(b, n, delta, shardVec)
-			})
-		}
-	}
-}
-
-// BenchmarkDeepDivergenceShardVec repairs through the shard vector: one
-// S x 8-byte vector exchange in round 0, then only diverged shards.
-func BenchmarkDeepDivergenceShardVec(b *testing.B) { benchDeepDivergenceGrid(b, true) }
-
-// BenchmarkDeepDivergenceGlobal is the baseline: the global merged
-// peel-back walk over the whole timestamp index.
-func BenchmarkDeepDivergenceGlobal(b *testing.B) { benchDeepDivergenceGrid(b, false) }
 
 // latencyPeer models a remote mailbox reached over a link with fixed
 // request latency: every Mail and every MailBatch costs one round trip.

@@ -38,19 +38,9 @@ type daemonConfig struct {
 	poolSize        int
 	peelBatch       int
 	exchangeTimeout time.Duration
-	// codec names the wire format; "binary" is the only one, and the
-	// gossip server refuses to start with any other name.
-	codec string
 	// udp enables the single-datagram UDP fast path for rumor pushes, both
 	// outbound and on the gossip server's port.
 	udp bool
-	// storeShards sets the replica store's lock-stripe count (0 = default).
-	storeShards int
-	// shardVector enables the narrow shard-vector anti-entropy path on
-	// outbound exchanges; shardRepairWorkers bounds how many diverged
-	// shards one exchange repairs concurrently (0 = default).
-	shardVector        bool
-	shardRepairWorkers int
 	// outboxWorkers sizes the asynchronous outbound mail engine's worker
 	// pool (0 = default, negative = serial direct mail); outboxQueue
 	// bounds each per-peer send queue before drop-oldest kicks in
@@ -89,20 +79,18 @@ type daemonConfig struct {
 // shares, feeding one process-wide WireStats.
 func (cfg daemonConfig) peerOptions(wire *epidemic.WireStats, digests *epidemic.ClusterDirectory) epidemic.TCPPeerOptions {
 	return epidemic.TCPPeerOptions{
-		Timeout:            cfg.exchangeTimeout,
-		PoolSize:           cfg.poolSize,
-		Stats:              wire,
-		UDP:                cfg.udp,
-		Digests:            digests,
-		DisableShardVector: !cfg.shardVector,
-		ShardRepairWorkers: cfg.shardRepairWorkers,
+		Timeout:  cfg.exchangeTimeout,
+		PoolSize: cfg.poolSize,
+		Stats:    wire,
+		UDP:      cfg.udp,
+		Digests:  digests,
 	}
 }
 
 // serverOptions derives the gossip server's options from the same flags:
-// -codec is checked there, and -udp=false unbinds the fast-path socket.
+// -udp=false unbinds the fast-path socket.
 func (cfg daemonConfig) serverOptions() epidemic.TCPServerOptions {
-	return epidemic.TCPServerOptions{Codec: cfg.codec, DisableUDP: !cfg.udp}
+	return epidemic.TCPServerOptions{DisableUDP: !cfg.udp}
 }
 
 // daemon is one running replica: gossip server, client listener, node
@@ -215,7 +203,6 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 		RumorEvery:         cfg.rumPer,
 		SnapshotPath:       cfg.data,
 		SnapshotEvery:      time.Minute,
-		StoreShards:        cfg.storeShards,
 		TraceRing:          cfg.traceRing,
 		Digests:            digests,
 	})

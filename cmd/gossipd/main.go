@@ -33,9 +33,12 @@
 //
 // Wire protocol: gossip speaks one binary frame layout, named by a
 // version byte in the connection hello; a peer of another version is
-// refused. -codec accepts only its default, binary. -udp toggles the
-// single-datagram fast path for rumor pushes, which falls back to pooled
-// TCP on loss or oversize batches. The WIRE client verb and the
+// refused. Anti-entropy compares per-shard checksum vectors and peels
+// back only the diverged shards of the replica store's fixed 16 lock
+// stripes, falling to a full database swap only when a shard needs more
+// than its peel budget. -udp toggles the single-datagram fast path for
+// rumor pushes, which falls back to pooled TCP on loss or oversize
+// batches. The WIRE client verb and the
 // epidemic_wire_* metrics expose pool, traffic, shard-vector, batched-mail
 // and UDP push/retry/fallback counters.
 //
@@ -88,7 +91,12 @@
 // gossipctl trace into an infection tree. -mutex-profile-fraction and
 // -block-profile-rate enable runtime lock-contention sampling so
 // /debug/pprof/mutex and /debug/pprof/block show store and protocol
-// contention; -store-shards sets the replica store's lock-stripe count.
+// contention.
+//
+// Retired flags: -codec, -store-shards, -shard-vector and
+// -shard-repair-workers still parse and print their old defaults (binary,
+// 0, true, 0), so scripts that pass those keep working; any other value
+// is refused at startup.
 package main
 
 import (
@@ -131,11 +139,7 @@ func main() {
 	flag.IntVar(&cfg.poolSize, "pool-size", 2, "persistent gossip connections kept per peer (negative = dial per request)")
 	flag.IntVar(&cfg.peelBatch, "peel-batch", 0, "entries per peel-back batch during anti-entropy (0 = default)")
 	flag.DurationVar(&cfg.exchangeTimeout, "exchange-timeout", 10*time.Second, "per-request deadline on outbound gossip")
-	flag.StringVar(&cfg.codec, "codec", "binary", "wire format; binary is the only one (peers of another wire version are refused)")
 	flag.BoolVar(&cfg.udp, "udp", true, "UDP fast path for single-datagram rumor pushes (falls back to TCP)")
-	flag.IntVar(&cfg.storeShards, "store-shards", 0, "replica store lock stripes, rounded up to a power of two (0 = default)")
-	flag.BoolVar(&cfg.shardVector, "shard-vector", true, "narrow anti-entropy to diverged store shards when the peer's shard count matches")
-	flag.IntVar(&cfg.shardRepairWorkers, "shard-repair-workers", 0, "diverged shards repaired concurrently per exchange (0 = default)")
 	flag.IntVar(&cfg.outboxWorkers, "outbox-workers", 0, "async outbound-mail worker pool size (0 = default, negative = serial direct mail)")
 	flag.IntVar(&cfg.outboxQueue, "outbox-queue", 0, "outbound-mail entries queued per peer before drop-oldest (0 = default)")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 0, "hop-provenance spans retained for TRACE and /trace (0 = tracing disabled)")
@@ -149,12 +153,59 @@ func main() {
 	flag.DurationVar(&cfg.historyRetention, "history-retention", 15*time.Minute, "how much metric trajectory to retain per series")
 	flag.StringVar(&cfg.flightDir, "flight-dir", ".scratch/flight", "directory for anomaly flight dumps (empty = flight recorder disabled)")
 	flag.IntVar(&cfg.flightMax, "flight-max", 8, "flight dumps retained before oldest-first eviction")
+	registerRetired(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(cfg); err != nil {
+	err := checkRetired(flag.CommandLine)
+	if err == nil {
+		err = run(cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gossipd:", err)
 		os.Exit(1)
 	}
+}
+
+// retiredFlags are flags whose setting no longer exists. They still parse
+// and print their old defaults, so scripts that pass those keep working,
+// but any other value is refused: binary is the only wire format, the
+// replica store has a fixed 16 lock stripes, and anti-entropy always
+// narrows to the diverged ones, four at a time.
+var retiredFlags = []struct{ name, def, usage string }{
+	{"codec", "binary", "retired: binary is the only wire format"},
+	{"store-shards", "0", "retired: the replica store has a fixed 16 lock stripes"},
+	{"shard-vector", "true", "retired: anti-entropy always narrows to the diverged store shards"},
+	{"shard-repair-workers", "0", "retired: diverged shards are repaired four at a time"},
+}
+
+// registerRetired defines the retired flags on fs with the types their
+// defaults spell (bool, int or string), so -h prints the same defaults the
+// replication benchmark (perfbench) checks its in-process replicas against.
+func registerRetired(fs *flag.FlagSet) {
+	for _, r := range retiredFlags {
+		switch r.def {
+		case "true", "false":
+			fs.Bool(r.name, r.def == "true", r.usage)
+		case "0":
+			fs.Int(r.name, 0, r.usage)
+		default:
+			fs.String(r.name, r.def, r.usage)
+		}
+	}
+}
+
+// checkRetired refuses a retired flag set on the command line to anything
+// but its old default, naming the flag.
+func checkRetired(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for _, r := range retiredFlags {
+			if err == nil && f.Name == r.name && f.Value.String() != r.def {
+				err = fmt.Errorf("-%s %s refused: the flag is retired and accepts only %s", f.Name, f.Value, r.def)
+			}
+		}
+	})
+	return err
 }
 
 func run(cfg daemonConfig) error {

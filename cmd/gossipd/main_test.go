@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"io"
 	"net"
 	"strings"
@@ -160,20 +161,36 @@ func TestClientMembers(t *testing.T) {
 	}
 }
 
-// TestDaemonRefusesRetiredCodecs: binary is the only wire format, so the
-// codec names older builds accepted stop the daemon at startup.
+// TestDaemonRefusesRetiredCodecs: the retired flags still parse at their
+// old defaults, and any other value — a codec older builds spoke, a
+// stripe count, the global-walk switch, a repair pool size — stops the
+// daemon at startup with an error naming the flag.
 func TestDaemonRefusesRetiredCodecs(t *testing.T) {
-	for _, codec := range []string{"gob", "legacy", "binary-v4"} {
-		d, err := startDaemon(daemonConfig{
-			site: 1, listen: "127.0.0.1:0", client: "127.0.0.1:0",
-			aePer: time.Hour, rumPer: time.Hour, k: 3,
-			tau1: time.Hour, tau2: time.Hour, retain: 1, codec: codec,
-		})
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("gossipd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerRetired(fs)
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		return checkRetired(fs)
+	}
+	if err := parse("-codec", "binary", "-store-shards", "0", "-shard-vector", "-shard-repair-workers", "0"); err != nil {
+		t.Errorf("defaults refused: %v", err)
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"codec", "gob"},
+		{"codec", "legacy"},
+		{"codec", "binary-v4"},
+		{"store-shards", "256"},
+		{"shard-vector", "false"},
+		{"shard-repair-workers", "8"},
+	} {
+		err := parse("-" + tc.flag + "=" + tc.value)
 		if err == nil {
-			d.Close()
-			t.Errorf("-codec %s: daemon started", codec)
-		} else if !strings.Contains(err.Error(), codec) {
-			t.Errorf("-codec %s: error %q does not name the codec", codec, err)
+			t.Errorf("-%s=%s accepted", tc.flag, tc.value)
+		} else if !strings.Contains(err.Error(), "-"+tc.flag) {
+			t.Errorf("-%s=%s: error %q does not name the flag", tc.flag, tc.value, err)
 		}
 	}
 }
@@ -184,7 +201,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	base := daemonConfig{
 		listen: "127.0.0.1:0", client: "127.0.0.1:0",
 		aePer: 20 * time.Millisecond, rumPer: 10 * time.Millisecond,
-		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1, shardVector: true,
+		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1,
 	}
 	cfg1 := base
 	cfg1.site = 1

@@ -25,7 +25,7 @@ func TestMetricsDocDrift(t *testing.T) {
 		listen: "127.0.0.1:0", client: "127.0.0.1:0",
 		aePer: 20 * time.Millisecond, rumPer: 10 * time.Millisecond,
 		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1,
-		shardVector: true, traceRing: 64,
+		traceRing:      64,
 		clusterDigests: true, digestEvery: 20 * time.Millisecond,
 		historyStep: 50 * time.Millisecond, historyRetention: time.Minute,
 	}

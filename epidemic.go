@@ -127,7 +127,7 @@ type (
 	// TCPPeer is a Peer over TCP.
 	TCPPeer = transport.TCPPeer
 	// TCPPeerOptions tunes a TCPPeer's connection pool, per-request
-	// deadline, peel-back budget, shard-vector repair, and UDP fast path.
+	// deadline, peel-back budget, and UDP fast path.
 	TCPPeerOptions = transport.PeerOptions
 	// WireStats aggregates client-side pool and wire-traffic counters,
 	// typically shared by every TCPPeer a process dials.
@@ -244,7 +244,6 @@ const (
 	MetricHotRumors           = obs.MetricHotRumors
 	MetricPeers               = obs.MetricPeers
 	MetricStoreKeys           = obs.MetricStoreKeys
-	MetricStoreShards         = obs.MetricStoreShards
 	MetricOutboxEnqueued      = obs.MetricOutboxEnqueued
 	MetricOutboxCoalesced     = obs.MetricOutboxCoalesced
 	MetricOutboxDropped       = obs.MetricOutboxDropped
@@ -444,15 +443,6 @@ func NewTCPPeerWith(id SiteID, addr string, opts TCPPeerOptions) *TCPPeer {
 
 // NewStore builds a bare replica store (most users want NewNode instead).
 func NewStore(site SiteID, clock Clock) *Store { return store.New(site, clock) }
-
-// NewShardedStore builds a bare replica store with an explicit lock-stripe
-// count (rounded up to a power of two; <= 0 selects DefaultStoreShards).
-func NewShardedStore(site SiteID, clock Clock, shards int) *Store {
-	return store.NewSharded(site, clock, shards)
-}
-
-// DefaultStoreShards is the store's default lock-stripe count.
-const DefaultStoreShards = store.DefaultShards
 
 // NewSimulatedClock builds a shared simulated time source.
 func NewSimulatedClock(start int64) *SimulatedClock { return timestamp.NewSimulated(start) }

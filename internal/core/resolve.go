@@ -28,9 +28,8 @@ const (
 	// CompareShardVector exchanges the per-shard checksum vectors after a
 	// global-checksum mismatch and peels back only the diverged shards'
 	// timestamp indexes, keeping examined work proportional to the
-	// divergence rather than the database. Stores with differing shard
-	// counts (whose key→shard maps are incomparable) fall back to the
-	// global peel-back walk.
+	// divergence rather than the database. Every store has the same
+	// store.Shards stripes, so any two vectors compare.
 	CompareShardVector
 )
 
@@ -121,8 +120,7 @@ type ExchangeStats struct {
 	// complete databases.
 	FullCompare bool
 	// ShardsRepaired counts the diverged shards the shard-vector strategy
-	// localized and peeled individually (zero for other strategies or when
-	// the vector compare downgraded to a global walk).
+	// localized and peeled individually (zero for other strategies).
 	ShardsRepaired int
 	// AppliedKeys lists the keys whose entries changed either replica —
 	// the updates anti-entropy "repaired", which §1.5's redistribution
@@ -334,12 +332,6 @@ func resolvePeelBack(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 func resolveShardVector(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 	st.ChecksumsCompared++
 	if liveChecksumEqual(cfg, s, p) {
-		return
-	}
-	if s.ShardCount() != p.ShardCount() {
-		// Incomparable key→shard maps: the vectors cannot localize
-		// anything. Global peel-back handles it.
-		resolvePeelBack(cfg, s, p, st)
 		return
 	}
 	batch := cfg.BatchSize

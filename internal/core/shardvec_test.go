@@ -8,15 +8,14 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-func shardedPair(t *testing.T, aShards, bShards int) (*store.Store, *store.Store, *timestamp.Simulated) {
+func shardedPair(t *testing.T) (*store.Store, *store.Store, *timestamp.Simulated) {
 	t.Helper()
 	src := timestamp.NewSimulated(1 << 20)
-	return store.NewSharded(1, src.ClockAt(1), aShards),
-		store.NewSharded(2, src.ClockAt(2), bShards), src
+	return store.New(1, src.ClockAt(1)), store.New(2, src.ClockAt(2)), src
 }
 
 func TestResolveShardVectorIdenticalStores(t *testing.T) {
-	a, b, _ := shardedPair(t, 16, 16)
+	a, b, _ := shardedPair(t)
 	e := a.Update("k", store.Value("v"))
 	b.Apply(e)
 	cfg := ResolveConfig{Mode: PushPull, Strategy: CompareShardVector}
@@ -33,7 +32,7 @@ func TestResolveShardVectorIdenticalStores(t *testing.T) {
 // under hundreds of shared newer ones: the vector compare must confine the
 // walk to the single diverged shard instead of peeling the whole store.
 func TestResolveShardVectorLocalizesDeepDivergence(t *testing.T) {
-	a, b, src := shardedPair(t, 16, 16)
+	a, b, src := shardedPair(t)
 	a.Update("buried", store.Value("deep"))
 	src.Advance(1)
 	for i := 0; i < 400; i++ {
@@ -69,7 +68,7 @@ func TestResolveShardVectorLocalizesDeepDivergence(t *testing.T) {
 // both strategies and checks they repair the identical entry set.
 func TestResolveShardVectorMatchesPeelBack(t *testing.T) {
 	build := func() (*store.Store, *store.Store) {
-		a, b, src := shardedPair(t, 16, 16)
+		a, b, src := shardedPair(t)
 		for i := 0; i < 120; i++ {
 			e := a.Update(fmt.Sprintf("hist%03d", i), store.Value("v"))
 			if i%10 != 0 { // every 10th entry is missing at b
@@ -117,37 +116,12 @@ func TestResolveShardVectorMatchesPeelBack(t *testing.T) {
 	}
 }
 
-// TestResolveShardVectorMismatchedCountsDowngrades pairs stores whose
-// key→shard maps are incomparable: the resolver must fall back to the
-// global walk and still converge.
-func TestResolveShardVectorMismatchedCountsDowngrades(t *testing.T) {
-	a, b, src := shardedPair(t, 8, 32)
-	a.Update("buried", store.Value("deep"))
-	src.Advance(1)
-	for i := 0; i < 100; i++ {
-		e := a.Update(fmt.Sprintf("hist%03d", i), store.Value("v"))
-		b.Apply(e)
-		src.Advance(1)
-	}
-	cfg := ResolveConfig{Mode: PushPull, Strategy: CompareShardVector, BatchSize: 16}
-	st, err := ResolveDifference(cfg, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !store.ContentEqual(a, b) {
-		t.Fatal("mismatched shard counts did not converge")
-	}
-	if st.ShardsRepaired != 0 {
-		t.Errorf("ShardsRepaired = %d on incomparable shard maps, want 0", st.ShardsRepaired)
-	}
-}
-
 // TestResolveShardVectorDormantSkew: divergence consisting only of a
 // dormancy-skewed death certificate must still terminate (the global
 // recompare and peel-back fallback own that case).
 func TestResolveShardVectorDormantSkew(t *testing.T) {
 	const tau1 = 100
-	a, b, src := shardedPair(t, 16, 16)
+	a, b, src := shardedPair(t)
 	for i := 0; i < 40; i++ {
 		e := a.Update(fmt.Sprintf("hist%03d", i), store.Value("v"))
 		b.Apply(e)

@@ -92,9 +92,6 @@ type Config struct {
 	// the paper assumes replicas live on.
 	SnapshotPath  string
 	SnapshotEvery time.Duration
-	// StoreShards is the replica store's lock-stripe count, rounded up to a
-	// power of two; 0 selects store.DefaultShards.
-	StoreShards int
 	// TraceRing, when positive, enables update tracing with a span ring of
 	// that capacity: every apply records a hop span and outbound exchanges
 	// carry provenance envelopes. Zero (the default) disables tracing
@@ -225,7 +222,7 @@ func New(cfg Config) (*Node, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n := &Node{
 		cfg:   cfg,
-		store: store.NewSharded(cfg.Site, cfg.Clock, cfg.StoreShards),
+		store: store.New(cfg.Site, cfg.Clock),
 		log:   logger.With("site", int(cfg.Site)),
 		rng:   rng,
 		hot:   core.NewHotList(cfg.Rumor, rng),

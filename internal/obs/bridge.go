@@ -27,7 +27,6 @@ const (
 	MetricHotRumors           = "epidemic_hot_rumors"
 	MetricPeers               = "epidemic_peers"
 	MetricStoreKeys           = "epidemic_store_keys"
-	MetricStoreShards         = "epidemic_store_shards"
 
 	// Outbound-engine names: the per-peer send-queue machinery direct mail
 	// rides (enqueues, coalesced supersessions, overflow/shutdown drops,
@@ -140,8 +139,6 @@ func InstrumentNode(reg *Registry, n *node.Node, opts ObserveOptions) func(node.
 		func() float64 { return float64(len(n.Peers())) }, labels...)
 	reg.GaugeFunc(MetricStoreKeys, "Keys held by the replica, death certificates included.",
 		func() float64 { return float64(n.Store().Len()) }, labels...)
-	reg.Gauge(MetricStoreShards, "Lock stripes (shards) in the replica store.",
-		labels...).Set(float64(n.Store().ShardCount()))
 
 	// The propagation histogram is shared (no site label): the delay
 	// distribution is a cluster-wide observable, t_last/t_avg in seconds.

@@ -18,7 +18,7 @@ const (
 	MetricWireBytesPerExchange   = "epidemic_wire_exchange_bytes"
 
 	// Shard-vector anti-entropy: narrow repairs completed, shards walked,
-	// and sessions that fell back to the global peel-back path.
+	// and conversations whose shard repair fell to the full swap.
 	MetricWireShardVecExchanges  = "epidemic_wire_shardvec_exchanges_total"
 	MetricWireShardVecShards     = "epidemic_wire_shardvec_shards_total"
 	MetricWireShardVecDowngrades = "epidemic_wire_shardvec_downgrades_total"
@@ -72,7 +72,7 @@ func InstrumentWire(reg *Registry, ws *transport.WireStats) {
 		func(s transport.WireSnapshot) int64 { return s.ShardVecExchanges })
 	counter(MetricWireShardVecShards, "Diverged shards repaired by shard-vector exchanges.",
 		func(s transport.WireSnapshot) int64 { return s.ShardVecShards })
-	counter(MetricWireShardVecDowngrades, "Shard-vector attempts that fell back to the global peel-back walk.",
+	counter(MetricWireShardVecDowngrades, "Anti-entropy conversations whose shard repair fell to the full database swap.",
 		func(s transport.WireSnapshot) int64 { return s.ShardVecDowngrades })
 	counter(MetricWireMailBatches, "Outbox drains shipped as single batched mail frames.",
 		func(s transport.WireSnapshot) int64 { return s.MailBatches })

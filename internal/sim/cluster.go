@@ -49,9 +49,6 @@ type ClusterConfig struct {
 	Network     *topology.Network
 	SpatialForm spatial.Form
 	SpatialA    float64
-	// StoreShards is forwarded to every node's replica store (lock-stripe
-	// count, 0 = default).
-	StoreShards int
 	// TraceRing, when > 0, gives every node a hop-provenance tracer
 	// retaining that many spans, so infection trees can be assembled from
 	// the same run the Propagation tracker observes.
@@ -141,7 +138,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			RetentionCount:     cfg.RetentionCount,
 			DirectMailOnUpdate: cfg.DirectMailOnUpdate,
 			Outbox:             node.OutboxConfig{Workers: outboxWorkers},
-			StoreShards:        cfg.StoreShards,
 			TraceRing:          cfg.TraceRing,
 			Digests:            dir,
 			Seed:               cfg.Seed + int64(i) + 1,

@@ -19,8 +19,7 @@ func TestClusterShardVectorStrategyConverges(t *testing.T) {
 			Tau: 2, Tau1: 1 << 40, BatchSize: 8,
 		},
 		Tau1: 1 << 40, Tau2: 1 << 41,
-		StoreShards: 16,
-		Seed:        99,
+		Seed: 99,
 	})
 	if err != nil {
 		t.Fatal(err)

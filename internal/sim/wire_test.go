@@ -14,11 +14,10 @@ import (
 
 // TestMixedCodecTCPClusterConverges stands up a small cluster over the real
 // TCP transport with deliberately mixed configurations — rumor pushes over
-// the UDP fast path at one site and pooled TCP at the others, and one site
-// whose store runs more shards than everyone else's — and drives rumor and
-// anti-entropy rounds until every replica agrees. It then pins which
-// repair path each pairing takes: equal shard counts finish on the
-// shard-vector path, mismatched ones record a downgrade to the global walk.
+// the UDP fast path at one site and pooled TCP at the others — and drives
+// rumor and anti-entropy rounds until every replica agrees. It then pins
+// the repair path: a conversation finishes on the shard-vector path
+// without falling to the full swap.
 func TestMixedCodecTCPClusterConverges(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 20)
 
@@ -28,27 +27,15 @@ func TestMixedCodecTCPClusterConverges(t *testing.T) {
 		udp bool
 	}
 
-	// Site 4's vectors are incomparable with site 1's, forcing the
-	// shard-count downgrade.
-	plans := []struct {
-		udp    bool
-		shards int
-	}{
-		{udp: true},
-		{},
-		{},
-		{shards: 64},
-	}
-
-	sites := make([]*site, len(plans))
-	for i, plan := range plans {
+	udpPlan := []bool{true, false, false}
+	sites := make([]*site, len(udpPlan))
+	for i, udp := range udpPlan {
 		id := timestamp.SiteID(i + 1)
 		n, err := node.New(node.Config{
-			Site:        id,
-			Clock:       src.ClockAt(id),
-			Rumor:       core.RumorConfig{K: 2, Counter: true, Feedback: true, Mode: core.Push},
-			StoreShards: plan.shards,
-			Seed:        int64(i) + 7,
+			Site:  id,
+			Clock: src.ClockAt(id),
+			Rumor: core.RumorConfig{K: 2, Counter: true, Feedback: true, Mode: core.Push},
+			Seed:  int64(i) + 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +45,7 @@ func TestMixedCodecTCPClusterConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		sites[i] = &site{n: n, srv: srv, udp: plan.udp}
+		sites[i] = &site{n: n, srv: srv, udp: udp}
 	}
 
 	stats := &transport.WireStats{}
@@ -108,32 +95,26 @@ func TestMixedCodecTCPClusterConverges(t *testing.T) {
 	}
 
 	// Deterministic shard-vector exercise on top of the converged cluster:
-	// a conversation with equal shard counts must complete on the narrow
-	// path; one against the 64-shard site must record a downgrade — and
-	// both must converge.
-	exercise := func(target *site) {
-		t.Helper()
-		sites[0].n.Update(fmt.Sprintf("late-%d", target.n.Site()), store.Value("zz"))
-		src.Advance(500)
-		p := transport.NewTCPPeerWith(target.n.Site(), target.srv.Addr(),
-			transport.PeerOptions{Timeout: 2 * time.Second, Stats: stats})
-		defer p.Close()
-		if _, err := p.AntiEntropy(core.ResolveConfig{
-			Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 1,
-		}, sites[0].n.Store(), nil); err != nil {
-			t.Fatalf("anti-entropy to site %d: %v", target.n.Site(), err)
-		}
-		if !store.ContentEqual(sites[0].n.Store(), target.n.Store()) {
-			t.Fatalf("site %d differs after shard-vector exercise", target.n.Site())
-		}
+	// the conversation must complete on the narrow path and converge.
+	target := sites[2]
+	sites[0].n.Update("late", store.Value("zz"))
+	src.Advance(500)
+	p := transport.NewTCPPeerWith(target.n.Site(), target.srv.Addr(),
+		transport.PeerOptions{Timeout: 2 * time.Second, Stats: stats})
+	defer p.Close()
+	if _, err := p.AntiEntropy(core.ResolveConfig{
+		Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 1,
+	}, sites[0].n.Store(), nil); err != nil {
+		t.Fatalf("anti-entropy to site %d: %v", target.n.Site(), err)
 	}
-	exercise(sites[2]) // equal shard counts
-	exercise(sites[3]) // 64 shards: incomparable vectors
+	if !store.ContentEqual(sites[0].n.Store(), target.n.Store()) {
+		t.Fatalf("site %d differs after shard-vector exercise", target.n.Site())
+	}
 	snap := stats.Snapshot()
 	if snap.ShardVecExchanges == 0 {
-		t.Error("no shard-vector exchange completed between equal-shard peers")
+		t.Error("no shard-vector exchange completed")
 	}
-	if snap.ShardVecDowngrades == 0 {
-		t.Error("mismatched shard counts never recorded a downgrade")
+	if snap.ShardVecDowngrades != 0 {
+		t.Errorf("%d conversations fell to the full swap", snap.ShardVecDowngrades)
 	}
 }

@@ -100,7 +100,7 @@ var benchVariants = []struct {
 	name string
 	mk   func(timestamp.Clock) benchStore
 }{
-	{"sharded", func(c timestamp.Clock) benchStore { return NewSharded(1, c, DefaultShards) }},
+	{"sharded", func(c timestamp.Clock) benchStore { return New(1, c) }},
 	{"mutex", func(c timestamp.Clock) benchStore { return newMutexStore(c) }},
 }
 

@@ -82,7 +82,7 @@ func assertReverseStamped(t *testing.T, where string, entries []Entry) {
 }
 
 // TestStoreConcurrentMergedReads hammers the k-way-merged read paths —
-// RecentUpdates, NewestFirst, and the PeelBatch walk — while writers churn
+// RecentUpdates, NewestFirst, and the PeelBatchShard walk — while writers churn
 // every shard. Run with -race. Each merged result must be strictly
 // reverse-timestamp ordered even mid-storm, and after the storm the folded
 // per-shard checksum must match a full recomputation.
@@ -129,18 +129,18 @@ func TestStoreConcurrentMergedReads(t *testing.T) {
 				case 1:
 					assertReverseStamped(t, "NewestFirst", s.NewestFirst(32))
 				case 2:
-					// One full peel walk; each batch must be ordered and the
-					// resume bound must strictly decrease, so the walk
+					// One full shard peel walk; each batch must be ordered and
+					// the resume bound must strictly decrease, so the walk
 					// terminates even while writers insert behind it.
 					bound := PeelStart
 					for {
-						batch, next, more := s.PeelBatch(bound, 16, s.Now(), 1<<40)
-						assertReverseStamped(t, "PeelBatch", batch)
+						batch, next, more := s.PeelBatchShard((r+i)%Shards, bound, 16, s.Now(), 1<<40)
+						assertReverseStamped(t, "PeelBatchShard", batch)
 						if !more {
 							break
 						}
 						if !next.Less(bound) {
-							t.Errorf("PeelBatch bound did not advance: %v -> %v", bound, next)
+							t.Errorf("PeelBatchShard bound did not advance: %v -> %v", bound, next)
 							return
 						}
 						bound = next

@@ -6,41 +6,10 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// PeelStart is the exclusive upper bound that makes PeelBatch begin at the
-// newest entry: it orders after every timestamp a clock can issue.
+// PeelStart is the exclusive upper bound that makes a peel walk
+// (NewestFirst, PeelBatchShard) begin at the newest entry: it orders after
+// every timestamp a clock can issue.
 var PeelStart = timestamp.T{Time: math.MaxInt64, Site: math.MaxInt32, Seq: math.MaxUint32}
-
-// PeelBatch returns one batch of the reverse-timestamp walk that wire-level
-// peel-back anti-entropy performs (§1.3/§1.5): up to limit index records
-// strictly older than bound are examined newest-first, and the non-dormant
-// ones among them are returned. next is the timestamp of the oldest record
-// examined — pass it back as the bound of the following call to resume the
-// walk — and more reports whether records older than next remain. Pass
-// PeelStart to begin at the newest entry; limit <= 0 examines everything at
-// once.
-//
-// Examined-versus-returned matters: dormant death certificates are skipped
-// on the wire (§2.2) but still advance the walk, so the resume bound stays
-// well-defined even when a whole batch is dormant.
-//
-// The walk is a k-way merge over the per-shard timestamp indexes; because
-// timestamps are globally unique the merged order, the resume bounds, and
-// the examined counts are identical to a walk of one global index, so the
-// wire protocol sees the same batches the single-mutex store produced.
-func (s *Store) PeelBatch(bound timestamp.T, limit int, now, tau1 int64) (batch []Entry, next timestamp.T, more bool) {
-	merged, total := s.collectMerged(bound, limit)
-	if len(merged) == 0 {
-		return nil, bound, false
-	}
-	batch = make([]Entry, 0, len(merged))
-	for _, e := range merged {
-		if !IsDormant(e, now, tau1) {
-			batch = append(batch, e)
-		}
-		next = e.Stamp
-	}
-	return batch, next, total > len(merged)
-}
 
 // LiveSnapshot returns a copy of every non-dormant entry — the payload of
 // a full-database exchange, which excludes dormant death certificates

@@ -6,28 +6,52 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// buildPeelStore writes n entries at distinct ticks and returns the store
-// plus its shared clock source.
-func buildPeelStore(t *testing.T, site timestamp.SiteID, n int) (*Store, *timestamp.Simulated) {
+// buildPeelStore writes n entries at distinct ticks, every one on the same
+// lock stripe so a single shard walk sees them all, and returns the store,
+// that stripe, and the shared clock source.
+func buildPeelStore(t *testing.T, site timestamp.SiteID, n int) (*Store, int, *timestamp.Simulated) {
 	t.Helper()
 	src := timestamp.NewSimulated(1)
 	st := New(site, src.ClockAt(site))
-	for i := 0; i < n; i++ {
-		st.Update(key(i), Value("v"))
+	keys := sameShardKeys(st, n)
+	for _, k := range keys {
+		st.Update(k, Value("v"))
 		src.Advance(1)
 	}
-	return st, src
+	return st, shardIndex(st, keys[0]), src
 }
 
 func key(i int) string {
 	return "k" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
 }
 
+// shardIndex is the lock stripe key hashes onto.
+func shardIndex(st *Store, k string) int {
+	for i := range st.shards {
+		if st.shardFor(k) == &st.shards[i] {
+			return i
+		}
+	}
+	panic("key on no stripe")
+}
+
+// sameShardKeys returns n distinct keys that all hash onto key(0)'s stripe.
+func sameShardKeys(st *Store, n int) []string {
+	want := st.shardFor(key(0))
+	var out []string
+	for i := 0; len(out) < n; i++ {
+		if st.shardFor(key(i)) == want {
+			out = append(out, key(i))
+		}
+	}
+	return out
+}
+
 func TestPeelBatchWalksNewestFirst(t *testing.T) {
-	st, _ := buildPeelStore(t, 1, 10)
+	st, sh, _ := buildPeelStore(t, 1, 10)
 	now := st.Now()
 
-	batch, next, more := st.PeelBatch(PeelStart, 4, now, 1<<40)
+	batch, next, more := st.PeelBatchShard(sh, PeelStart, 4, now, 1<<40)
 	if len(batch) != 4 || !more {
 		t.Fatalf("first batch = %d entries, more=%v", len(batch), more)
 	}
@@ -42,7 +66,7 @@ func TestPeelBatchWalksNewestFirst(t *testing.T) {
 	}
 	total := len(batch)
 	for more {
-		batch, next, more = st.PeelBatch(next, 4, now, 1<<40)
+		batch, next, more = st.PeelBatchShard(sh, next, 4, now, 1<<40)
 		for _, e := range batch {
 			if seen[e.Key] {
 				t.Fatalf("key %q returned twice", e.Key)
@@ -56,7 +80,7 @@ func TestPeelBatchWalksNewestFirst(t *testing.T) {
 	}
 
 	// An exhausted walk stays exhausted.
-	if batch, _, more := st.PeelBatch(next, 4, now, 1<<40); len(batch) != 0 || more {
+	if batch, _, more := st.PeelBatchShard(sh, next, 4, now, 1<<40); len(batch) != 0 || more {
 		t.Errorf("walk past the end returned %d entries, more=%v", len(batch), more)
 	}
 }
@@ -64,18 +88,20 @@ func TestPeelBatchWalksNewestFirst(t *testing.T) {
 func TestPeelBatchSkipsDormantButAdvances(t *testing.T) {
 	src := timestamp.NewSimulated(1)
 	st := New(1, src.ClockAt(1))
+	keys := sameShardKeys(st, 4)
+	sh := shardIndex(st, keys[0])
 	// Three old deletions, then one fresh update. With tau1=10 the
 	// certificates are dormant by the time we peel.
-	for i := 0; i < 3; i++ {
-		st.Update(key(i), Value("v"))
-		st.Delete(key(i), nil)
+	for _, k := range keys[:3] {
+		st.Update(k, Value("v"))
+		st.Delete(k, nil)
 		src.Advance(100)
 	}
-	st.Update("fresh", Value("v"))
+	st.Update(keys[3], Value("v"))
 	now := st.Now()
 
-	batch, next, more := st.PeelBatch(PeelStart, 2, now, 10)
-	if len(batch) != 1 || batch[0].Key != "fresh" {
+	batch, next, more := st.PeelBatchShard(sh, PeelStart, 2, now, 10)
+	if len(batch) != 1 || batch[0].Key != keys[3] {
 		t.Fatalf("first batch = %+v, want only the fresh entry", batch)
 	}
 	if !more {
@@ -84,7 +110,7 @@ func TestPeelBatchSkipsDormantButAdvances(t *testing.T) {
 	// The rest of the walk must terminate despite every record being
 	// dormant, with the bound advancing through them.
 	for more {
-		batch, next, more = st.PeelBatch(next, 2, now, 10)
+		batch, next, more = st.PeelBatchShard(sh, next, 2, now, 10)
 		if len(batch) != 0 {
 			t.Fatalf("dormant batch returned entries: %+v", batch)
 		}
@@ -92,8 +118,8 @@ func TestPeelBatchSkipsDormantButAdvances(t *testing.T) {
 }
 
 func TestPeelBatchZeroLimitReturnsAll(t *testing.T) {
-	st, _ := buildPeelStore(t, 1, 7)
-	batch, _, more := st.PeelBatch(PeelStart, 0, st.Now(), 1<<40)
+	st, sh, _ := buildPeelStore(t, 1, 7)
+	batch, _, more := st.PeelBatchShard(sh, PeelStart, 0, st.Now(), 1<<40)
 	if len(batch) != 7 || more {
 		t.Errorf("limit 0 returned %d entries, more=%v", len(batch), more)
 	}

@@ -7,14 +7,12 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// DefaultShards is the shard count New uses. Sixteen shards keep the
+// Shards is the store's fixed lock-stripe count. Sixteen shards keep the
 // striped-lock win (writers on different shards never contend) while the
-// k-way merges over per-shard time indexes stay cheap.
-const DefaultShards = 16
-
-// maxShards bounds NewSharded against absurd requests; beyond this the
-// per-shard maps are so small that merge overhead dominates.
-const maxShards = 1 << 10
+// k-way merges over per-shard time indexes stay cheap. It is a protocol
+// constant too: every replica maps a key to the same stripe, so per-shard
+// checksum vectors from any two replicas compare position by position.
+const Shards = 16
 
 // shard is one lock stripe of the store: a private entry map, death set,
 // incremental XOR checksum, and time index, all guarded by one RWMutex.

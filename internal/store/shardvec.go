@@ -71,7 +71,7 @@ func (s *Store) AppendChecksumVectorAt(dst []uint64, cut, tau1 int64) []uint64 {
 }
 
 // ChecksumShardAt returns shard i's checksum as of cut. Like slice
-// indexing, i must be in [0, ShardCount()).
+// indexing, i must be in [0, Shards).
 func (s *Store) ChecksumShardAt(i int, cut, tau1 int64) uint64 {
 	sh := &s.shards[i]
 	sh.mu.RLock()
@@ -83,10 +83,9 @@ func (s *Store) ChecksumShardAt(i int, cut, tau1 int64) uint64 {
 // certificates excluded, exactly as ChecksumLive) as one slice indexed by
 // shard. Each shard is read under its own lock with no merge, so the
 // vector costs O(S + deaths) regardless of database size, and XOR-folding
-// it reproduces ChecksumLive. Two stores with the same shard count place
-// every key in the same stripe (FNV-1a masked to the power-of-two count),
-// which is what lets anti-entropy compare vectors across replicas and
-// localize divergence to stripes.
+// it reproduces ChecksumLive. Every store places a key in the same stripe
+// (FNV-1a masked to Shards), which is what lets anti-entropy compare
+// vectors across replicas and localize divergence to stripes.
 func (s *Store) ChecksumVector(now, tau1 int64) []uint64 {
 	return s.AppendChecksumVector(nil, now, tau1)
 }
@@ -105,7 +104,7 @@ func (s *Store) AppendChecksumVector(dst []uint64, now, tau1 int64) []uint64 {
 }
 
 // ChecksumShard returns the live checksum of shard i alone. Like slice
-// indexing, i must be in [0, ShardCount()).
+// indexing, i must be in [0, Shards).
 func (s *Store) ChecksumShard(i int, now, tau1 int64) uint64 {
 	sh := &s.shards[i]
 	sh.mu.RLock()
@@ -113,11 +112,19 @@ func (s *Store) ChecksumShard(i int, now, tau1 int64) uint64 {
 	return sh.liveSum(now, tau1)
 }
 
-// PeelBatchShard is PeelBatch restricted to shard i: up to limit of that
-// shard's index records strictly older than bound are examined newest
-// first and the non-dormant ones returned, with the same
-// examined-versus-returned resume semantics (next is the oldest record
-// examined, more reports whether older records remain). Shard-vector
+// PeelBatchShard returns one batch of the reverse-timestamp walk that
+// wire-level peel-back anti-entropy performs (§1.3/§1.5), confined to
+// shard i: up to limit of that shard's index records strictly older than
+// bound are examined newest first, and the non-dormant ones among them are
+// returned. next is the timestamp of the oldest record examined — pass it
+// back as the bound of the following call to resume the walk — and more
+// reports whether records older than next remain. Pass PeelStart (or a
+// CutBound) to begin at the newest entry; limit <= 0 examines everything
+// at once.
+//
+// Examined-versus-returned matters: dormant death certificates are skipped
+// on the wire (§2.2) but still advance the walk, so the resume bound stays
+// well-defined even when a whole batch is dormant. Shard-vector
 // anti-entropy walks only the diverged stripes this way, so a δ-entry
 // divergence under a deep database examines O(δ + N/S) records per
 // diverged stripe instead of O(N) for the whole store.
@@ -137,16 +144,4 @@ func (s *Store) PeelBatchShard(i int, bound timestamp.T, limit int, now, tau1 in
 		next = e.Stamp
 	}
 	return batch, next, total > len(recs)
-}
-
-// RecentUpdatesShard returns shard i's entries with ordinary-timestamp age
-// strictly less than tau at time now, newest first — the per-stripe slice
-// of the paper's recent update list (§1.3), for callers that keep
-// per-shard sync state (partial replication hangs per-replica-set windows
-// on this).
-func (s *Store) RecentUpdatesShard(i int, now, tau int64) []Entry {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.collectRecent(now, tau)
 }

@@ -9,10 +9,10 @@ import (
 
 // buildShardVecStore writes n entries plus some deletions so the vector
 // tests see live entries, fresh death certificates, and dormant ones.
-func buildShardVecStore(t *testing.T, shards, n int) (*Store, *timestamp.Simulated) {
+func buildShardVecStore(t *testing.T, n int) (*Store, *timestamp.Simulated) {
 	t.Helper()
 	src := timestamp.NewSimulated(1)
-	st := NewSharded(1, src.ClockAt(1), shards)
+	st := New(1, src.ClockAt(1))
 	for i := 0; i < n; i++ {
 		st.Update(fmt.Sprintf("sv%04d", i), Value("v"))
 		src.Advance(1)
@@ -28,12 +28,12 @@ func buildShardVecStore(t *testing.T, shards, n int) (*Store, *timestamp.Simulat
 }
 
 func TestChecksumVectorFoldsToLive(t *testing.T) {
-	st, _ := buildShardVecStore(t, 8, 200)
+	st, _ := buildShardVecStore(t, 200)
 	now := st.Now()
 	for _, tau1 := range []int64{0, 40, 1 << 40} {
 		vec := st.ChecksumVector(now, tau1)
-		if len(vec) != st.ShardCount() {
-			t.Fatalf("vector len = %d, want %d", len(vec), st.ShardCount())
+		if len(vec) != Shards {
+			t.Fatalf("vector len = %d, want %d", len(vec), Shards)
 		}
 		var fold uint64
 		for i, v := range vec {
@@ -49,9 +49,9 @@ func TestChecksumVectorFoldsToLive(t *testing.T) {
 }
 
 func TestAppendChecksumVectorReusesBacking(t *testing.T) {
-	st, _ := buildShardVecStore(t, 4, 40)
+	st, _ := buildShardVecStore(t, 40)
 	now := st.Now()
-	buf := make([]uint64, 0, st.ShardCount())
+	buf := make([]uint64, 0, Shards)
 	got := st.AppendChecksumVector(buf, now, 1<<40)
 	if &got[0] != &buf[:1][0] {
 		t.Error("AppendChecksumVector reallocated despite sufficient capacity")
@@ -65,25 +65,23 @@ func TestAppendChecksumVectorReusesBacking(t *testing.T) {
 }
 
 // TestPeelBatchShardMatchesGlobalWalk checks that walking every shard to
-// exhaustion visits exactly the entries a global peel walk visits, with
-// per-shard newest-first order and no duplicates.
+// exhaustion visits exactly the non-dormant entries of the merged global
+// walk (OlderThan, as core's peel-back uses it), with per-shard
+// newest-first order and no duplicates.
 func TestPeelBatchShardMatchesGlobalWalk(t *testing.T) {
-	st, _ := buildShardVecStore(t, 8, 300)
+	st, _ := buildShardVecStore(t, 300)
 	now := st.Now()
 	const tau1 = 40 // early deletions are dormant, late ones live
 
 	want := map[string]Entry{}
-	bound, more := PeelStart, true
-	for more {
-		var batch []Entry
-		batch, bound, more = st.PeelBatch(bound, 16, now, tau1)
-		for _, e := range batch {
+	for _, e := range st.OlderThan(PeelStart, 0) {
+		if !IsDormant(e, now, tau1) {
 			want[e.Key] = e
 		}
 	}
 
 	got := map[string]Entry{}
-	for i := 0; i < st.ShardCount(); i++ {
+	for i := 0; i < Shards; i++ {
 		bound, more := PeelStart, true
 		var prev timestamp.T
 		first := true
@@ -120,46 +118,13 @@ func TestPeelBatchShardMatchesGlobalWalk(t *testing.T) {
 	}
 }
 
-func TestRecentUpdatesShardUnionMatchesGlobal(t *testing.T) {
-	st, _ := buildShardVecStore(t, 8, 120)
-	now := st.Now()
-	const tau = 100
-
-	want := map[string]bool{}
-	for _, e := range st.RecentUpdates(now, tau) {
-		want[e.Key] = true
-	}
-	got := map[string]bool{}
-	for i := 0; i < st.ShardCount(); i++ {
-		var prev timestamp.T
-		for j, e := range st.RecentUpdatesShard(i, now, tau) {
-			if j > 0 && prev.Less(e.Stamp) {
-				t.Fatalf("shard %d recents not newest-first", i)
-			}
-			prev = e.Stamp
-			if got[e.Key] {
-				t.Fatalf("key %q in two shard windows", e.Key)
-			}
-			got[e.Key] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("shard windows union = %d keys, global window = %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("key %q missing from shard windows", k)
-		}
-	}
-}
-
 // TestCollectMergedScratchPooled pins the satellite win: a peel round's
 // scratch (per-shard slice heap + merge cursors) comes from the pool. The
 // returned entries are clones that must escape, so the pooling is
 // observable on an empty walk — before pooling it cost the [][]Entry heap
 // plus the cursor slice; now it is allocation-free.
 func TestCollectMergedScratchPooled(t *testing.T) {
-	st, _ := buildShardVecStore(t, 16, 400)
+	st, _ := buildShardVecStore(t, 400)
 	exhausted := timestamp.T{} // nothing is older than the zero stamp
 	// Warm the pool.
 	for i := 0; i < 4; i++ {
@@ -178,7 +143,7 @@ func TestCollectMergedScratchPooled(t *testing.T) {
 // whatever was written after it — new keys, overwrites and deletions.
 func TestChecksumAtMatchesStoreCutAtCut(t *testing.T) {
 	const tau1 = 40
-	st, src := buildShardVecStore(t, 8, 200)
+	st, src := buildShardVecStore(t, 200)
 	cut := src.Read()
 	st.Update("at-cut", Value("v")) // stamped exactly at the cut: inside it
 	early := st.Snapshot()
@@ -191,7 +156,7 @@ func TestChecksumAtMatchesStoreCutAtCut(t *testing.T) {
 	}
 	// The reference store holds what st held at the cut, minus the keys
 	// written after it: those are out of the cut view on both sides.
-	ref := NewSharded(2, src.ClockAt(2), 8)
+	ref := New(2, src.ClockAt(2))
 	for _, e := range early {
 		if ts, _ := st.Stamp(e.Key); ts.Time <= cut {
 			ref.Apply(e)
@@ -220,7 +185,7 @@ func TestChecksumAtMatchesStoreCutAtCut(t *testing.T) {
 // TestCutBoundStartsWalkAtCut: a peel walk from CutBound(cut) visits
 // exactly the entries stamped at or before cut.
 func TestCutBoundStartsWalkAtCut(t *testing.T) {
-	st, src := buildShardVecStore(t, 4, 100)
+	st, src := buildShardVecStore(t, 100)
 	cut := src.Read()
 	st.Update("at-cut", Value("v")) // stamped exactly at the cut: inside it
 	for i := 0; i < 10; i++ {
@@ -228,15 +193,17 @@ func TestCutBoundStartsWalkAtCut(t *testing.T) {
 		st.Update(fmt.Sprintf("late%02d", i), Value("new"))
 	}
 	seen := 0
-	bound, more := CutBound(cut), true
-	for more {
-		var batch []Entry
-		batch, bound, more = st.PeelBatch(bound, 16, cut, 1<<40)
-		for _, e := range batch {
-			if e.Stamp.Time > cut {
-				t.Fatalf("walk from the cut returned %v stamped after %d", e.Stamp, cut)
+	for i := 0; i < Shards; i++ {
+		bound, more := CutBound(cut), true
+		for more {
+			var batch []Entry
+			batch, bound, more = st.PeelBatchShard(i, bound, 16, cut, 1<<40)
+			for _, e := range batch {
+				if e.Stamp.Time > cut {
+					t.Fatalf("walk from the cut returned %v stamped after %d", e.Stamp, cut)
+				}
+				seen++
 			}
-			seen++
 		}
 	}
 	if want := st.Len() - 10; seen != want {

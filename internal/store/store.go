@@ -50,45 +50,23 @@ func (r ApplyResult) Changed() bool { return r == Applied || r == ActivationAdva
 // Store is one site's replica of the database. It is safe for concurrent
 // use.
 //
-// Internally the replica is a sharded map: keys hash onto power-of-two
-// lock stripes, each with its own entry map, death set, incremental XOR
+// Internally the replica is a sharded map: keys hash onto Shards lock
+// stripes, each with its own entry map, death set, incremental XOR
 // checksum, and timestamp index. Point operations (Update, Get, Apply)
 // touch one shard; the global checksum is an XOR fold of per-shard sums
 // under read locks; the timestamp-ordered reads (RecentUpdates,
-// NewestFirst, PeelBatch, LiveSnapshot) k-way merge the per-shard indexes,
+// NewestFirst, OlderThan, LiveSnapshot) k-way merge the per-shard indexes,
 // reproducing the single-index order exactly because timestamps are
 // globally unique.
 type Store struct {
 	site   timestamp.SiteID
 	clock  timestamp.Clock
-	mask   uint32
-	shards []shard
+	shards [Shards]shard
 }
 
-// New returns an empty store for the given site with DefaultShards lock
-// stripes.
+// New returns an empty store for the given site.
 func New(site timestamp.SiteID, clock timestamp.Clock) *Store {
-	return NewSharded(site, clock, DefaultShards)
-}
-
-// NewSharded returns an empty store with the given shard count, rounded up
-// to the next power of two (<= 0 selects DefaultShards). One shard degrades
-// gracefully to the seed's single-lock store.
-func NewSharded(site timestamp.SiteID, clock timestamp.Clock, shards int) *Store {
-	n := 1
-	if shards <= 0 {
-		n = DefaultShards
-	} else {
-		for n < shards && n < maxShards {
-			n <<= 1
-		}
-	}
-	s := &Store{
-		site:   site,
-		clock:  clock,
-		mask:   uint32(n - 1),
-		shards: make([]shard, n),
-	}
+	s := &Store{site: site, clock: clock}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]Entry)
 		s.shards[i].deaths = make(map[string]struct{})
@@ -97,18 +75,15 @@ func NewSharded(site timestamp.SiteID, clock timestamp.Clock, shards int) *Store
 }
 
 // shardFor hashes key onto its lock stripe (FNV-1a, masked to the
-// power-of-two shard count).
+// power-of-two Shards). Every replica picks the same stripe for a key.
 func (s *Store) shardFor(key string) *shard {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &s.shards[h&s.mask]
+	return &s.shards[h&(Shards-1)]
 }
-
-// ShardCount returns the number of lock stripes.
-func (s *Store) ShardCount() int { return len(s.shards) }
 
 // Site returns the owning site's ID.
 func (s *Store) Site() timestamp.SiteID { return s.site }

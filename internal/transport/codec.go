@@ -158,7 +158,6 @@ func appendRequest(b []byte, req *request) []byte {
 	b = appendHops(b, req.Hops)
 	b = appendDigests(b, req.Digests)
 	b = appendVarint(b, int64(req.Shard))
-	b = appendVarint(b, int64(req.ShardCount))
 	b = appendVector(b, req.Vector)
 	b = appendVarint(b, req.MailQueuedNanos)
 	return appendVarint(b, req.MailCoalesced)
@@ -203,7 +202,6 @@ func appendResponse(b []byte, resp *response) []byte {
 	b = appendUvarint(b, uint64(len(resp.Err)))
 	b = append(b, resp.Err...)
 	b = appendDigests(b, resp.Digests)
-	b = appendVarint(b, int64(resp.ShardCount))
 	return appendVector(b, resp.Vector)
 }
 
@@ -478,7 +476,6 @@ func decodeRequest(payload []byte, req *request) error {
 	req.Hops = r.hops()
 	req.Digests = r.digests()
 	req.Shard = int(r.varint())
-	req.ShardCount = int(r.varint())
 	// A vector reuses the target's backing array, so a server session
 	// lending one scratch decodes round 0 without allocating.
 	req.Vector = r.vector(req.Vector)
@@ -516,7 +513,6 @@ func decodeResponse(payload []byte, resp *response) error {
 	errLen := r.uvarint()
 	resp.Err = string(r.take(int(errLen)))
 	resp.Digests = r.digests()
-	resp.ShardCount = int(r.varint())
 	resp.Vector = r.vector(nil)
 	return r.finish()
 }
@@ -527,7 +523,7 @@ func decodeResponse(payload []byte, resp *response) error {
 func requestWireSize(req *request) int {
 	n := 1 + 4 + 8 + stampWireLen // Kind, From, Checksum, Bound
 	for _, v := range [...]int64{req.Now, req.Tau1, int64(req.Limit), int64(req.Shard),
-		int64(req.ShardCount), req.MailQueuedNanos, req.MailCoalesced} {
+		req.MailQueuedNanos, req.MailCoalesced} {
 		n += uvarintLen(uint64(v<<1) ^ uint64(v>>63)) // zigzag, as appendVarint
 	}
 	n += uvarintLen(uint64(len(req.Entries)))

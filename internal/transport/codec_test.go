@@ -19,7 +19,7 @@ func codecRequests() []request {
 		{},
 		{Kind: reqChecksum, Tau1: 42},
 		{Kind: reqSync, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau1: 1 << 40},
-		{Kind: reqPeelBack, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64},
+		{Kind: reqPeelBackShard, Shard: 5, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64},
 		{
 			Kind: reqMail,
 			Entries: []store.Entry{
@@ -244,13 +244,13 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 // every section, and a zero response likewise.
 func TestCodecUnusedSectionsCostOneByteEach(t *testing.T) {
 	// Kind, From, Checksum, Now, Tau1, Bound, Limit; then entries, hops,
-	// digests, Shard, ShardCount, vector, and the two mail varints.
-	if got, want := len(appendRequest(nil, &request{})), 1+4+8+1+1+stampWireLen+1+8; got != want {
+	// digests, Shard, vector, and the two mail varints.
+	if got, want := len(appendRequest(nil, &request{})), 1+4+8+1+1+stampWireLen+1+7; got != want {
 		t.Errorf("zero request = %d bytes, want %d", got, want)
 	}
 	// Flags, Checksum, Bound; then needed, entries, hops, err, digests,
-	// ShardCount, vector.
-	if got, want := len(appendResponse(nil, &response{})), 1+8+stampWireLen+7; got != want {
+	// vector.
+	if got, want := len(appendResponse(nil, &response{})), 1+8+stampWireLen+6; got != want {
 		t.Errorf("zero response = %d bytes, want %d", got, want)
 	}
 }

@@ -115,8 +115,8 @@ func TestCutRepairsOldDivergenceInOrderDelta(t *testing.T) {
 // writer keeps updating both replicas — new keys and overwrites of shared
 // ones — and delivers each write to the other replica a few writes later,
 // as in-flight mail does. Writes past the cut must not move the
-// conversation's target: no downgrade to the global walk, no full swap,
-// and the old divergence each conversation targets is repaired.
+// conversation's target: no fall to the full swap, and the old divergence
+// each conversation targets is repaired.
 func TestCutWritesDuringExchangeKeepNarrowPath(t *testing.T) {
 	src, local, remote, srv := cutPair(t, 2_000)
 	src.Advance(100)
@@ -173,7 +173,7 @@ func TestCutWritesDuringExchangeKeepNarrowPath(t *testing.T) {
 		}
 	}
 	if n := stats.Snapshot().ShardVecDowngrades; n != 0 {
-		t.Errorf("%d downgrades to the global walk under concurrent writes", n)
+		t.Errorf("%d falls to the full swap under concurrent writes", n)
 	}
 }
 
@@ -181,37 +181,35 @@ func TestCutWritesDuringExchangeKeepNarrowPath(t *testing.T) {
 // stamped after the cut and the other in an older one sits in only one cut
 // view, and neither walk from the cut carries the newer version. The side
 // that receives the stale copy ships its newer version back, in both
-// directions and on both the narrow and the global path.
+// directions, without leaving the narrow path.
 func TestCutShipsBackVersionsPastTheCut(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		src, local, remote, srv := cutPair(t, 500)
-		src.Advance(100)
-		cut := src.Read()
-		// Old versions on both sides, then a version stamped past the cut
-		// (from a site whose clock runs ahead) on one side each.
-		oldMine := local.Update("mine", store.Value("old"))
-		oldTheirs := local.Update("theirs", store.Value("old"))
-		remote.Store().Apply(oldMine)
-		remote.Store().Apply(oldTheirs)
-		future := func(key string, site timestamp.SiteID) store.Entry {
-			return store.Entry{Key: key, Value: store.Value("new"),
-				Stamp: timestamp.T{Time: cut + 1_000, Site: site}, Activation: timestamp.T{Time: cut + 1_000, Site: site}}
-		}
-		local.Apply(future("mine", 9))
-		remote.Store().Apply(future("theirs", 8))
+	src, local, remote, srv := cutPair(t, 500)
+	src.Advance(100)
+	cut := src.Read()
+	// Old versions on both sides, then a version stamped past the cut
+	// (from a site whose clock runs ahead) on one side each.
+	oldMine := local.Update("mine", store.Value("old"))
+	oldTheirs := local.Update("theirs", store.Value("old"))
+	remote.Store().Apply(oldMine)
+	remote.Store().Apply(oldTheirs)
+	future := func(key string, site timestamp.SiteID) store.Entry {
+		return store.Entry{Key: key, Value: store.Value("new"),
+			Stamp: timestamp.T{Time: cut + 1_000, Site: site}, Activation: timestamp.T{Time: cut + 1_000, Site: site}}
+	}
+	local.Apply(future("mine", 9))
+	remote.Store().Apply(future("theirs", 8))
 
-		stats := &WireStats{}
-		peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Stats: stats, DisableShardVector: disable})
-		st, err := peer.AntiEntropy(core.ResolveConfig{Mode: core.PushPull, Tau1: 1 << 40}, local, nil)
-		peer.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !store.ContentEqual(local, remote.Store()) {
-			t.Fatalf("global path %v: replicas differ after the conversation", disable)
-		}
-		if st.FullCompare || stats.Snapshot().ShardVecDowngrades != 0 {
-			t.Errorf("global path %v: left the peel walk: %+v / %+v", disable, st, stats.Snapshot())
-		}
+	stats := &WireStats{}
+	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Stats: stats})
+	defer peer.Close()
+	st, err := peer.AntiEntropy(core.ResolveConfig{Mode: core.PushPull, Tau1: 1 << 40}, local, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !store.ContentEqual(local, remote.Store()) {
+		t.Fatal("replicas differ after the conversation")
+	}
+	if st.FullCompare || stats.Snapshot().ShardVecDowngrades != 0 {
+		t.Errorf("left the narrow path: %+v / %+v", st, stats.Snapshot())
 	}
 }

@@ -36,9 +36,9 @@ const frameHeaderLen = 4
 var helloMagic = [3]byte{'E', 'P', 'G'}
 
 // wireVersion is the one frame layout this build speaks, carried in the
-// TCP hello and in every UDP datagram header. Older builds sent 1 to 5,
+// TCP hello and in every UDP datagram header. Older builds sent 1 to 6,
 // so they are refused rather than misparsed.
-const wireVersion = 6
+const wireVersion = 7
 
 // Typed wire errors. Callers can errors.Is against these to distinguish
 // protocol violations from ordinary network failures.

@@ -20,7 +20,7 @@ type WireStats struct {
 
 	// Shard-vector anti-entropy accounting: exchanges that
 	// converged via the narrow path, diverged shards they repaired, and
-	// attempts that fell back to the global peel walk.
+	// conversations whose shard repair fell to the full swap.
 	shardVecExchanges, shardVecShards, shardVecDowngrades atomic.Int64
 
 	// Batched-mail accounting: outbox drains shipped as one reqMailBatch
@@ -57,7 +57,7 @@ type WireSnapshot struct {
 	Exchanges int64 `json:"exchanges"`
 	// Shard-vector counters: anti-entropy exchanges that converged via the
 	// per-shard narrow path, the diverged shards those exchanges repaired,
-	// and attempts that downgraded to the global peel walk.
+	// and conversations whose shard repair fell to the full swap.
 	ShardVecExchanges  int64 `json:"shardvec_exchanges"`
 	ShardVecShards     int64 `json:"shardvec_shards"`
 	ShardVecDowngrades int64 `json:"shardvec_downgrades"`

@@ -13,20 +13,20 @@ import (
 // carries.
 func shardRequests() []request {
 	return []request{
-		{Kind: reqSync, From: 4, Now: 77, Tau1: 9, ShardCount: 4,
-			Vector: []uint64{0, 1, ^uint64(0), 0xdeadbeef}},
+		{Kind: reqSync, From: 4, Now: 77, Tau1: 9,
+			Vector: []uint64{0, 1, ^uint64(0), 0xdeadbeef, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}},
 		{Kind: reqSync, Vector: []uint64{5}},
-		{Kind: reqPeelBackShard, From: 2, Shard: 13, ShardCount: 16,
+		{Kind: reqPeelBackShard, From: 2, Shard: 13,
 			Bound: timestamp.T{Time: 50, Site: 1, Seq: 2}, Limit: 8},
-		{Kind: reqPeelBackShard, Shard: 1023, ShardCount: 1024},
+		{Kind: reqPeelBackShard, Shard: -1},
 		{Kind: reqChecksum, Tau1: 42}, // empty shard fields
 	}
 }
 
 func shardResponses() []response {
 	return []response{
-		{ShardCount: 16, Vector: []uint64{7, 0, 0xffffffffffffffff}, Checksum: 3},
-		{ShardCount: 1, Vector: []uint64{0}},
+		{Vector: []uint64{7, 0, 0xffffffffffffffff}, Checksum: 3},
+		{Vector: []uint64{0}},
 		{Checksum: 11, More: true, Bound: timestamp.T{Time: -2, Site: 3}}, // empty section
 	}
 }
@@ -50,7 +50,7 @@ func normalizeShardResp(r *response) {
 func TestCodecShardRoundTrip(t *testing.T) {
 	for i, req := range append(shardRequests(), codecRequests()...) {
 		payload := appendRequest(nil, &req)
-		got := request{Shard: 99, ShardCount: 99, Vector: []uint64{99}}
+		got := request{Shard: 99, Vector: []uint64{99}}
 		if err := decodeRequest(payload, &got); err != nil {
 			t.Fatalf("request case %d: decode: %v", i, err)
 		}
@@ -63,7 +63,7 @@ func TestCodecShardRoundTrip(t *testing.T) {
 	}
 	for i, resp := range append(shardResponses(), codecResponses()...) {
 		payload := appendResponse(nil, &resp)
-		got := response{ShardCount: 99, Vector: []uint64{99}}
+		got := response{Vector: []uint64{99}}
 		if err := decodeResponse(payload, &got); err != nil {
 			t.Fatalf("response case %d: decode: %v", i, err)
 		}

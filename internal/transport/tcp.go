@@ -24,11 +24,12 @@ import (
 // the §1.3 checksum scheme compared as of a cut. Round 0 (reqSync) fixes
 // the cut c at the initiator's clock reading and swaps live checksums over
 // the entries stamped at or before c, with the per-shard checksum vectors
-// folded into the same round trip. Agreeing sums end the conversation with
-// no entries shipped. On mismatch the two sides peel back from c through
-// the diverged shards (or, without vectors, the whole database) in
-// reverse-timestamp batches, re-comparing the cut checksums after each
-// batch, so a conversation ships O(δ) entries for δ differing keys. Writes
+// folded into the same round trip. Every store has store.Shards stripes
+// and maps a key to the same one, so the vectors always compare. Agreeing
+// sums end the conversation with no entries shipped. On mismatch the two
+// sides peel back from c through the diverged shards in reverse-timestamp
+// batches, re-comparing the shard checksums at the cut after each batch,
+// so a conversation ships O(δ) entries for δ differing keys. Writes
 // stamped after c never move the target: mail, rumors and the next
 // conversation carry them. No recent-update list crosses the wire. A full
 // database swap survives only as a capped last resort.
@@ -41,8 +42,8 @@ const (
 	reqSync          // round 0: checksum (+ shard vector) as of the cut
 	reqFullSync      // full live-database swap (capped last resort)
 	reqChecksum      // live checksum probe (§1.5 combined scheme), or as of a cut
-	reqPeelBack      // one reverse-timestamp batch + checksum re-check (§1.3)
 	_                // reserved: kind numbers are on the wire
+	_                // reserved
 	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum
 	reqMailBatch     // one outbox drain: many mail entries in one frame
 )
@@ -62,8 +63,6 @@ func (k reqKind) kindName() string {
 		return "full-sync"
 	case reqChecksum:
 		return "checksum"
-	case reqPeelBack:
-		return "peel-back"
 	case reqPeelBackShard:
 		return "peel-back-shard"
 	case reqMailBatch:
@@ -84,8 +83,8 @@ type request struct {
 	Now  int64
 	Tau1 int64 // death-certificate dormancy threshold
 	// Bound and Limit drive the server's side of the peel-back walk
-	// (reqPeelBack): the server returns up to Limit entries strictly older
-	// than Bound, newest first. The server is stateless across rounds; the
+	// (reqPeelBackShard): the server returns up to Limit entries of the
+	// shard strictly older than Bound, newest first. The server is stateless across rounds; the
 	// caller echoes back the Bound each response hands it.
 	Bound timestamp.T
 	Limit int
@@ -96,14 +95,12 @@ type request struct {
 	// reqPullRumors conversations (the observatory's epidemic channel).
 	// nil when the observatory is off: one zero byte.
 	Digests []cluster.Digest
-	// Shard addresses one lock stripe for reqPeelBackShard; ShardCount is
-	// the sender's store shard count (vector compares and shard walks are
-	// only meaningful between stores with identical key→shard maps).
-	// Vector carries the sender's per-shard checksums as of the cut on
-	// reqSync. Unused, the three cost three zero bytes.
-	Shard      int
-	ShardCount int
-	Vector     []uint64
+	// Shard addresses one lock stripe in [0, store.Shards) for
+	// reqPeelBackShard. Vector carries the sender's store.Shards per-shard
+	// checksums as of the cut on reqSync and on the recompare after shard
+	// repair. Unused, the two cost two zero bytes.
+	Shard  int
+	Vector []uint64
 	// MailQueuedNanos and MailCoalesced are a reqMailBatch's sender-side
 	// outbox telemetry: the queueing age of the batch's oldest entry and
 	// the supersessions coalesced away while it queued. Two zero bytes on
@@ -128,13 +125,11 @@ type response struct {
 	// Digests mirrors request.Digests: the responder's view, piggybacked
 	// back so digest exchange is bidirectional like the data exchange.
 	Digests []cluster.Digest
-	// ShardCount and Vector answer a reqSync that carried a vector: the
-	// responder's shard count, and its per-shard checksums as of the cut
-	// when the global sums disagree. For reqPeelBackShard the Checksum
-	// field carries the requested shard's checksum instead of the global
-	// one.
-	ShardCount int
-	Vector     []uint64
+	// Vector answers a comparison that carried one: the responder's
+	// per-shard checksums as of the cut when the global sums disagree. For
+	// reqPeelBackShard the Checksum field carries the requested shard's
+	// checksum instead of the global one.
+	Vector []uint64
 }
 
 // Server-side session limits: an idle session is reaped after
@@ -398,8 +393,6 @@ func (s *Server) dispatch(req request) response {
 		resp := s.compareAt(req)
 		resp.Digests = s.swapDigests(req.Digests)
 		return resp
-	case reqPeelBack:
-		return s.peel(req, -1)
 	case reqFullSync:
 		st := s.node.Store()
 		for i, e := range req.Entries {
@@ -422,12 +415,10 @@ func (s *Server) dispatch(req request) response {
 		st := s.node.Store()
 		return response{Checksum: st.ChecksumLive(st.Now(), req.Tau1)}
 	case reqPeelBackShard:
-		st := s.node.Store()
-		if req.ShardCount != st.ShardCount() || req.Shard < 0 || req.Shard >= st.ShardCount() {
-			return response{Err: fmt.Sprintf("shard %d/%d incomparable with local %d shards",
-				req.Shard, req.ShardCount, st.ShardCount())}
+		if req.Shard < 0 || req.Shard >= store.Shards {
+			return response{Err: fmt.Sprintf("shard %d outside [0,%d)", req.Shard, store.Shards)}
 		}
-		return s.peel(req, req.Shard)
+		return s.peel(req)
 	default:
 		return response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
 	}
@@ -435,28 +426,27 @@ func (s *Server) dispatch(req request) response {
 
 // compareAt answers a comparison as of the initiator's cut req.Now (round
 // 0 and the recompares after shard repair): this replica's checksum at the
-// cut, plus its per-shard vector when the sums disagree and the request
-// carried a vector from an identically striped store. ShardCount lets the
-// initiator tell a missing vector from an incomparable one.
+// cut, plus its per-shard vector when the sums disagree. A vector of any
+// width but store.Shards is malformed and refused.
 func (s *Server) compareAt(req request) response {
+	if len(req.Vector) != store.Shards {
+		return response{Err: fmt.Sprintf("shard vector has %d sums, want %d", len(req.Vector), store.Shards)}
+	}
 	st := s.node.Store()
 	sum := st.ChecksumAt(req.Now, req.Tau1)
 	resp := response{Checksum: sum, InSync: sum == req.Checksum}
-	if len(req.Vector) > 0 {
-		resp.ShardCount = st.ShardCount()
-		if !resp.InSync && req.ShardCount == resp.ShardCount {
-			resp.Vector = st.AppendChecksumVectorAt(nil, req.Now, req.Tau1)
-		}
+	if !resp.InSync {
+		resp.Vector = st.AppendChecksumVectorAt(nil, req.Now, req.Tau1)
 	}
 	return resp
 }
 
-// peel serves one round of an initiator's peel-back walk as of its cut
-// req.Now, over shard (or the whole database when shard < 0). It applies
-// what the initiator shipped, then answers with the next batch of this
-// replica's own walk, its checksum at the cut, and the local entries past
-// the cut that supersede anything the initiator shipped.
-func (s *Server) peel(req request, shard int) response {
+// peel serves one round of an initiator's peel-back walk over shard
+// req.Shard as of its cut req.Now. It applies what the initiator shipped,
+// then answers with the next batch of this replica's own walk of that
+// shard, the shard's checksum at the cut, and the local entries past the
+// cut that supersede anything the initiator shipped.
+func (s *Server) peel(req request) response {
 	st := s.node.Store()
 	cut := req.Now
 	var back []store.Entry
@@ -465,24 +455,12 @@ func (s *Server) peel(req request, shard int) response {
 			back = appendSupersedingPastCut(back, st, e, cut)
 		}
 	}
-	var (
-		batch []store.Entry
-		next  timestamp.T
-		more  bool
-		sum   uint64
-	)
-	if shard < 0 {
-		batch, next, more = st.PeelBatch(req.Bound, clampPeelLimit(req.Limit), cut, req.Tau1)
-		sum = st.ChecksumAt(cut, req.Tau1)
-	} else {
-		batch, next, more = st.PeelBatchShard(shard, req.Bound, clampPeelLimit(req.Limit), cut, req.Tau1)
-		sum = st.ChecksumShardAt(shard, cut, req.Tau1)
-	}
+	batch, next, more := st.PeelBatchShard(req.Shard, req.Bound, clampPeelLimit(req.Limit), cut, req.Tau1)
 	batch = append(batch, back...)
 	return response{
 		Entries:  batch,
 		Hops:     s.node.Tracer().Envelopes(batch),
-		Checksum: sum,
+		Checksum: st.ChecksumShardAt(req.Shard, cut, req.Tau1),
 		Bound:    next,
 		More:     more,
 	}
@@ -544,9 +522,9 @@ type PeerOptions struct {
 	// and closes its own connection (the pre-pool behaviour, kept for
 	// comparison benchmarks).
 	PoolSize int
-	// MaxPeelRounds caps the peel-back batches per anti-entropy
-	// conversation before falling back to a full database swap (default
-	// 32).
+	// MaxPeelRounds caps the peel-back batches per diverged shard in one
+	// anti-entropy conversation; a shard that needs more sends the
+	// conversation to a full database swap (default 32).
 	MaxPeelRounds int
 	// Codec is unused: there is one wire format. The field stays so
 	// callers that set "binary" keep compiling.
@@ -563,16 +541,6 @@ type PeerOptions struct {
 	// UDPBudget caps the datagram size for the fast path (default 1200
 	// bytes, a conservative single-MTU figure).
 	UDPBudget int
-	// DisableShardVector turns off the shard-vector anti-entropy path:
-	// conversations then always use the global peel-back walk. The zero
-	// value enables it (it downgrades itself against peers whose shard
-	// count differs).
-	DisableShardVector bool
-	// ShardRepairWorkers bounds the diverged shards repaired concurrently
-	// during one shard-vector exchange (default 4). Each worker runs its
-	// own pooled session, so the effective parallelism is also bounded by
-	// PoolSize plus overflow dials.
-	ShardRepairWorkers int
 	// Stats, when set, receives pool and wire-traffic accounting; share
 	// one WireStats across all peers of a process.
 	Stats *WireStats
@@ -584,11 +552,15 @@ type PeerOptions struct {
 
 // Defaults for PeerOptions zero values.
 const (
-	defaultPeerTimeout        = 10 * time.Second
-	defaultPoolSize           = 2
-	defaultMaxPeelRounds      = 32
-	defaultShardRepairWorkers = 4
+	defaultPeerTimeout   = 10 * time.Second
+	defaultPoolSize      = 2
+	defaultMaxPeelRounds = 32
 )
+
+// shardRepairWorkers bounds the diverged shards repaired concurrently
+// during one conversation. Each worker runs its own pooled session, so the
+// effective parallelism is also bounded by PoolSize plus overflow dials.
+const shardRepairWorkers = 4
 
 func (o PeerOptions) withDefaults() PeerOptions {
 	if o.Timeout <= 0 {
@@ -599,9 +571,6 @@ func (o PeerOptions) withDefaults() PeerOptions {
 	}
 	if o.MaxPeelRounds <= 0 {
 		o.MaxPeelRounds = defaultMaxPeelRounds
-	}
-	if o.ShardRepairWorkers <= 0 {
-		o.ShardRepairWorkers = defaultShardRepairWorkers
 	}
 	if o.UDPTimeout <= 0 {
 		o.UDPTimeout = defaultUDPTimeout
@@ -701,7 +670,7 @@ var wireCallPool = sync.Pool{New: func() any { return new(wireCall) }}
 func (c *wireCall) setVector(local *store.Store, cut, tau1 int64) []uint64 {
 	vec := local.AppendChecksumVectorAt(c.vecBuf[:0], cut, tau1)
 	c.vecBuf = vec[:0]
-	c.req.ShardCount, c.req.Vector, c.req.Checksum = local.ShardCount(), vec, 0
+	c.req.Vector, c.req.Checksum = vec, 0
 	for _, sum := range vec {
 		c.req.Checksum ^= sum
 	}
@@ -723,12 +692,6 @@ func putWireCall(c *wireCall) {
 	wireCallPool.Put(c)
 }
 
-// errRemote marks an error the peer's dispatcher reported (as opposed to a
-// transport failure); shard-vector conversations downgrade on it instead of
-// failing the whole exchange, since it usually means the server's shard
-// topology changed mid-conversation.
-var errRemote = errors.New("transport: remote error")
-
 // call runs c's request over the pool, accumulating framed bytes moved and
 // surfacing remote errors.
 func (p *TCPPeer) call(c *wireCall) error {
@@ -739,7 +702,7 @@ func (p *TCPPeer) call(c *wireCall) error {
 		return fmt.Errorf("transport: %s: %w", p.addr, err)
 	}
 	if c.resp.Err != "" {
-		return fmt.Errorf("%w: %s", errRemote, c.resp.Err)
+		return fmt.Errorf("transport: %s: remote error: %s", p.addr, c.resp.Err)
 	}
 	return nil
 }
@@ -794,7 +757,7 @@ func (p *TCPPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]bool, e
 	if u := p.fastPath(); u != nil {
 		if u.roundTrip(&c.req, &c.resp) {
 			if c.resp.Err != "" {
-				return nil, fmt.Errorf("%w: %s", errRemote, c.resp.Err)
+				return nil, fmt.Errorf("transport: %s: remote error: %s", p.addr, c.resp.Err)
 			}
 			return c.resp.Needed, nil
 		}
@@ -833,14 +796,13 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 // AntiEntropy implements node.Peer: the §1.3 checksum exchange over the
 // wire, compared as of a cut. Round 0 fixes the cut at this replica's
 // clock reading and swaps checksums over the entries stamped at or before
-// it, plus the per-shard vectors unless DisableShardVector; agreeing sums
-// end the conversation with nothing shipped. On mismatch the diverged
-// shards (or, without comparable vectors, the whole database) peel back
+// it, plus the per-shard vectors; agreeing sums end the conversation with
+// nothing shipped. On mismatch only the diverged shards peel back
 // newest-first from the cut in reverse-timestamp batches, re-comparing the
-// cut checksums after every batch and stopping as soon as they agree —
-// O(δ) entries shipped for δ differing keys. Writes stamped after the cut
-// are left to mail, rumors and the next conversation. Only when
-// MaxPeelRounds batches have not reconciled the replicas does the
+// shard checksums at the cut after every batch and stopping as soon as
+// they agree — O(δ) entries shipped for δ differing keys. Writes stamped
+// after the cut are left to mail, rumors and the next conversation. Only
+// when a shard has not reconciled within MaxPeelRounds batches does the
 // conversation degrade to the full swap. cfg.Tau and cfg.Strategy do not
 // apply here: the wire path ships no recent-update list and always runs
 // this scheme.
@@ -857,12 +819,7 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		Tau1:    cfg.Tau1,
 		Digests: p.opts.Digests.Share(),
 	}
-	var vec []uint64
-	if !p.opts.DisableShardVector {
-		vec = c.setVector(local, cut, cfg.Tau1)
-	} else {
-		c.req.Checksum = local.ChecksumAt(cut, cfg.Tau1)
-	}
+	vec := c.setVector(local, cut, cfg.Tau1)
 	sum := c.req.Checksum
 	if err := p.call(c); err != nil {
 		return st, err
@@ -874,86 +831,36 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		return st, nil
 	}
 
-	// Checksums disagree. With comparable vectors, repair only the
-	// diverged shards, in parallel; any wrinkle (mismatched shard counts,
-	// a mid-conversation topology change, a shard over its peel budget)
-	// downgrades to the global walk.
-	if vec != nil {
-		// The repair workers capture the stats pointer, which would force
-		// st itself onto the heap for every conversation — including the
-		// allocation-free in-sync fast path above. Hand them a copy that
-		// only escapes on this (already allocating) mismatch path.
-		sv := st
-		done, err := p.shardRepair(cfg, local, tr, cut, vec, c, &sv)
-		if err != nil {
-			return sv, err
-		}
-		if done {
-			p.finishExchange(c, &sv)
-			return sv, nil
-		}
-		st = sv // keep whatever the abandoned narrow attempt repaired
-		p.opts.Stats.noteShardVecDowngrade()
+	// Checksums disagree: repair only the diverged shards, in parallel.
+	// The repair workers capture the stats pointer, which would force st
+	// itself onto the heap for every conversation — including the
+	// allocation-free in-sync fast path above. Hand them a copy that only
+	// escapes on this (already allocating) mismatch path.
+	sv := st
+	done, err := p.shardRepair(cfg, local, tr, cut, vec, c, &sv)
+	if err != nil {
+		return sv, err
 	}
-
-	// Peel back from the cut in reverse-timestamp batches until the
-	// checksums agree, both sides walking their own index (§1.3).
-	batch := peelBatchSize(cfg)
-	localBound, remoteBound := store.CutBound(cut), store.CutBound(cut)
-	localMore, remoteMore := true, true
-	var back []store.Entry // entries past the cut the peer showed it lacks
-	for round := 0; round < p.opts.MaxPeelRounds; round++ {
-		mine := back
-		if localMore {
-			mine, localBound, localMore = local.PeelBatch(localBound, batch, cut, cfg.Tau1)
-			mine = append(mine, back...)
-		}
+	if !done {
+		// Capped last resort: a shard spent its peel budget and the
+		// replicas still disagree — swap full live databases in one round
+		// trip. sv keeps whatever the abandoned narrow attempt repaired.
+		p.opts.Stats.noteShardVecDowngrade()
+		sv.FullCompare = true
+		now := local.Now()
+		full := local.LiveSnapshot(now, cfg.Tau1)
 		c.req = request{
-			Kind:    reqPeelBack,
-			From:    local.Site(),
-			Entries: mine,
-			Hops:    tr.Envelopes(mine),
-			Bound:   remoteBound,
-			Limit:   batch,
-			Now:     cut,
-			Tau1:    cfg.Tau1,
+			Kind: reqFullSync, From: local.Site(), Entries: full,
+			Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
 		}
 		if err := p.call(c); err != nil {
-			return st, err
+			return sv, err
 		}
-		st.EntriesSent += len(mine)
-		back = p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechPeelBack, cut, &st)
-		remoteBound, remoteMore = c.resp.Bound, c.resp.More
-		st.ChecksumsCompared++
-		if local.ChecksumAt(cut, cfg.Tau1) == c.resp.Checksum {
-			p.finishExchange(c, &st)
-			return st, nil
-		}
-		if !localMore && !remoteMore && len(back) == 0 {
-			// Both walks exhausted: every shippable entry crossed the
-			// wire; remaining differences are dormant certificates the
-			// protocol must not propagate (§2.2).
-			p.finishExchange(c, &st)
-			return st, nil
-		}
+		sv.EntriesSent += len(full)
+		p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, now, &sv)
 	}
-
-	// Capped last resort: the peel budget is spent and the replicas still
-	// disagree — swap full live databases in one round trip.
-	st.FullCompare = true
-	now := local.Now()
-	full := local.LiveSnapshot(now, cfg.Tau1)
-	c.req = request{
-		Kind: reqFullSync, From: local.Site(), Entries: full,
-		Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
-	}
-	if err := p.call(c); err != nil {
-		return st, err
-	}
-	st.EntriesSent += len(full)
-	p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, now, &st)
-	p.finishExchange(c, &st)
-	return st, nil
+	p.finishExchange(c, &sv)
+	return sv, nil
 }
 
 // peelBatchSize is the configured peel batch, or core's default.
@@ -964,33 +871,31 @@ func peelBatchSize(cfg core.ResolveConfig) int {
 	return core.DefaultPeelBatch
 }
 
-// shardRepairPasses bounds the vector comparisons of one narrow-path
-// conversation, round 0's included. Writes past the cut cannot move its
-// target, with one exception: a write that overwrites a key older than the
-// cut drops the key from the writer's cut view at once but from a peer's
-// only when the mail lands. A comparison can catch a shard in that window,
-// so a shard that differs again is repaired again, and a conversation that
-// still differs after the last pass ends there: every shard it found
-// diverged has agreed at the cut at least once, and the next
-// conversation's later cut covers the churn.
+// shardRepairPasses bounds the vector comparisons of one conversation,
+// round 0's included. Writes past the cut cannot move its target, with one
+// exception: a write that overwrites a key older than the cut drops the
+// key from the writer's cut view at once but from a peer's only when the
+// mail lands. A comparison can catch a shard in that window, so a shard
+// that differs again is repaired again, and a conversation that still
+// differs after the last pass ends there: every shard it found diverged
+// has agreed at the cut at least once, and the next conversation's later
+// cut covers the churn.
 const shardRepairPasses = 3
 
-// shardRepair is the narrow path of an anti-entropy conversation whose
-// round 0 swapped per-shard vectors (c.resp answers the vector vec): only
-// the diverged shards are peeled from the cut — each confined to one lock
-// stripe on both sides — by a bounded pool of workers over concurrent
-// pooled sessions, then every shard is compared again at the cut, for up
-// to shardRepairPasses passes. It reports done=true when the narrow path
-// finished the conversation; done=false with a nil error means the caller
-// should fall back to the global peel walk (incomparable vectors, or a
-// shard the narrow path could not finish). c accumulates the byte
-// counters of every session the repair used.
-func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, cut int64, vec []uint64, c *wireCall, st *core.ExchangeStats) (bool, error) {
+// shardRepair repairs a conversation whose round 0 disagreed (c.resp
+// answers the vector vec): only the diverged shards are peeled from the
+// cut — each confined to one lock stripe on both sides — by a bounded pool
+// of workers over concurrent pooled sessions, then every shard is compared
+// again at the cut, for up to shardRepairPasses passes. done=false with a
+// nil error means a shard ran out of its peel budget and the conversation
+// needs the full swap. c accumulates the byte counters of every session
+// the repair used.
+func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, cut int64, vec []uint64, c *wireCall, st *core.ExchangeStats) (done bool, err error) {
 	batch := peelBatchSize(cfg)
 	repaired := 0
 	for pass := 1; ; pass++ {
-		if c.resp.ShardCount != local.ShardCount() || len(c.resp.Vector) != len(vec) {
-			return false, nil // incomparable key→shard maps
+		if len(c.resp.Vector) != store.Shards {
+			return false, fmt.Errorf("transport: %s: shard vector has %d sums, want %d", p.addr, len(c.resp.Vector), store.Shards)
 		}
 		var diverged []int
 		for i, sum := range vec {
@@ -1010,9 +915,6 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 		vec = c.setVector(local, cut, cfg.Tau1)
 		sum := c.req.Checksum
 		if err := p.call(c); err != nil {
-			if errors.Is(err, errRemote) {
-				return false, nil
-			}
 			return false, err
 		}
 		st.ChecksumsCompared++
@@ -1027,31 +929,30 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 }
 
 // repairShards peels the diverged shards in parallel over at most
-// ShardRepairWorkers pooled sessions. ok=false with a nil error means a
-// shard could not be finished on the narrow path (peel budget spent, or
-// the peer refused the shard) and the conversation should downgrade.
+// shardRepairWorkers pooled sessions. ok=false with a nil error means a
+// shard could not be finished within its peel budget.
 func (p *TCPPeer) repairShards(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, cut int64, diverged []int, batch int, c *wireCall, st *core.ExchangeStats) (bool, error) {
 	var (
-		next     atomic.Int64
-		degraded atomic.Bool
-		mu       sync.Mutex // guards st, c's byte counters, and the trace.Tracer handoff
-		firstErr error
-		wg       sync.WaitGroup
+		next      atomic.Int64
+		exhausted atomic.Bool
+		mu        sync.Mutex // guards st, c's byte counters, and the trace.Tracer handoff
+		firstErr  error
+		wg        sync.WaitGroup
 	)
-	for w := 0; w < min(p.opts.ShardRepairWorkers, len(diverged)); w++ {
+	for w := 0; w < min(shardRepairWorkers, len(diverged)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(diverged) || degraded.Load() || func() bool { mu.Lock(); defer mu.Unlock(); return firstErr != nil }() {
+				if i >= len(diverged) || exhausted.Load() || func() bool { mu.Lock(); defer mu.Unlock(); return firstErr != nil }() {
 					return
 				}
 				err := p.repairShard(cfg, local, tr, diverged[i], cut, batch, &mu, c, st)
 				switch {
 				case err == nil:
-				case errors.Is(err, errRemote) || errors.Is(err, errShardDowngrade):
-					degraded.Store(true)
+				case errors.Is(err, errPeelBudget):
+					exhausted.Store(true)
 				default:
 					mu.Lock()
 					if firstErr == nil {
@@ -1063,12 +964,12 @@ func (p *TCPPeer) repairShards(cfg core.ResolveConfig, local *store.Store, tr *t
 		}()
 	}
 	wg.Wait()
-	return firstErr == nil && !degraded.Load(), firstErr
+	return firstErr == nil && !exhausted.Load(), firstErr
 }
 
-// errShardDowngrade signals that one shard's repair could not finish within
-// the peel budget; the conversation falls back to the global walk.
-var errShardDowngrade = errors.New("transport: shard-vector downgrade")
+// errPeelBudget signals that one shard's repair could not finish within
+// the peel budget; the conversation falls back to the full swap.
+var errPeelBudget = errors.New("transport: shard peel budget exhausted")
 
 // shardProbeBatch is the opening batch size of a shard repair (it ramps ×4
 // per round up to the configured BatchSize).
@@ -1107,16 +1008,15 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 		hops := tr.Envelopes(mine)
 		mu.Unlock()
 		c.req = request{
-			Kind:       reqPeelBackShard,
-			From:       local.Site(),
-			Entries:    mine,
-			Hops:       hops,
-			Bound:      remoteBound,
-			Limit:      b,
-			Now:        cut,
-			Tau1:       cfg.Tau1,
-			Shard:      shard,
-			ShardCount: local.ShardCount(),
+			Kind:    reqPeelBackShard,
+			From:    local.Site(),
+			Entries: mine,
+			Hops:    hops,
+			Bound:   remoteBound,
+			Limit:   b,
+			Now:     cut,
+			Tau1:    cfg.Tau1,
+			Shard:   shard,
 		}
 		b = min(b*4, batch)
 		if err := p.call(c); err != nil {
@@ -1137,7 +1037,7 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: shard %d budget exhausted", errShardDowngrade, shard)
+	return fmt.Errorf("%w: shard %d", errPeelBudget, shard)
 }
 
 // finishExchange attributes one completed anti-entropy conversation to the

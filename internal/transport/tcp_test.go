@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,28 +147,46 @@ func TestTCPAntiEntropyPeelBackAvoidsFullSwap(t *testing.T) {
 	}
 }
 
+// TestTCPAntiEntropyFullSwapLastResort: a shard with more divergence than
+// one peel round can move (batch 4, MaxPeelRounds 1) sends the
+// conversation from the narrow path straight to the full swap, counted as
+// one downgrade, with no global walk in between.
 func TestTCPAntiEntropyFullSwapLastResort(t *testing.T) {
-	a, b := tcpPair(t)
-	// More divergence than one peel round can move (batch 4, one round
-	// each way) forces the capped full-swap fallback.
-	for i := 0; i < 50; i++ {
-		a.Store().Update(fmt.Sprintf("only-a-%02d", i), store.Value("x"))
+	_, local, remote, srv := cutPair(t, 20)
+	for i := 0; i < 100; i++ {
+		local.Update(fmt.Sprintf("only-a-%02d", i), store.Value("x"))
 	}
-	// DisableShardVector pins the conversation to the global walk: this
-	// test is about the global path's capped last resort.
-	peer := NewTCPPeerWith(2, a.Peers()[0].(*TCPPeer).Addr(),
-		PeerOptions{MaxPeelRounds: 1, DisableShardVector: true})
+	var mu sync.Mutex
+	kinds := map[string]int{}
+	srv.SetObserver(func(kind string, _ time.Duration) {
+		mu.Lock()
+		kinds[kind]++
+		mu.Unlock()
+	})
+	stats := &WireStats{}
+	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{MaxPeelRounds: 1, Stats: stats})
 	defer peer.Close()
 	st, err := peer.AntiEntropy(core.ResolveConfig{
-		Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 0, BatchSize: 4,
-	}, a.Store(), nil)
+		Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 0, Tau1: 1 << 40, BatchSize: 4,
+	}, local, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.FullCompare {
 		t.Errorf("expected full-swap last resort: %+v", st)
 	}
-	if !store.ContentEqual(a.Store(), b.Store()) {
+	if n := stats.Snapshot().ShardVecDowngrades; n != 1 {
+		t.Errorf("ShardVecDowngrades = %d, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if kinds["peel-back-shard"] == 0 || kinds["full-sync"] != 1 {
+		t.Errorf("served kinds %v, want shard peels then one full-sync", kinds)
+	}
+	if n := kinds["peel-back"] + kinds["unknown"]; n != 0 {
+		t.Errorf("served %d global peel requests: %v", n, kinds)
+	}
+	if !store.ContentEqual(local, remote.Store()) {
 		t.Fatal("replicas differ after full swap")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -61,6 +62,7 @@ func TestServerRefusesForeignOpenings(t *testing.T) {
 	}{
 		// A hello alone, so the server's answer is not raced by a reset.
 		{"v5-hello", []byte{'E', 'P', 'G', 5}, false, []byte{wireVersion}},
+		{"v6-hello", []byte{'E', 'P', 'G', 6}, false, []byte{wireVersion}},
 		{"legacy-frame", nil, true, nil},
 		{"not-epg", []byte("GET / HTTP/1.0\r\n\r\n"), true, nil},
 	} {
@@ -112,8 +114,8 @@ func TestServerRefusesForeignOpenings(t *testing.T) {
 }
 
 // TestClientRejectsOtherWireVersion points a peer at a server that answers
-// the hello with version 5: every request must fail with an error naming
-// both versions, and the pool must not keep the session.
+// the hello with an older version: every request must fail with an error
+// naming both versions, and the pool must not keep the session.
 func TestClientRejectsOtherWireVersion(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
@@ -121,7 +123,7 @@ func TestClientRejectsOtherWireVersion(t *testing.T) {
 		if _, err := io.ReadFull(conn, hello[:]); err != nil {
 			return
 		}
-		_, _ = conn.Write([]byte{5})
+		_, _ = conn.Write([]byte{6})
 		_, _ = io.Copy(io.Discard, conn) // hold the connection until the client drops it
 	})
 	stats := &WireStats{}
@@ -133,7 +135,7 @@ func TestClientRejectsOtherWireVersion(t *testing.T) {
 		if !errors.Is(err, ErrWireVersion) {
 			t.Fatalf("attempt %d: err = %v, want ErrWireVersion", i, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "version 5") || !strings.Contains(msg, "speaks 6") {
+		if msg := err.Error(); !strings.Contains(msg, "version 6") || !strings.Contains(msg, fmt.Sprintf("speaks %d", wireVersion)) {
 			t.Errorf("attempt %d: error %q does not name both versions", i, msg)
 		}
 	}
