@@ -40,13 +40,16 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# check is the pre-merge gate: static analysis, a fast race pass over the
+# check is the pre-merge gate: gofmt (every Go file outside the dot
+# directories must be formatted), static analysis, a fast race pass over the
 # sharded store (the most concurrency-sensitive package), the race
 # detector over the whole module (daemons included), the observability
 # and cluster-observatory smoke tests, and the replication benchmark's
 # own module (perfbench/ has its own go.mod, so ./... never builds it):
 # vetted and self-tested so a facade change cannot break it silently.
 check:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -count=1 ./internal/store/...
 	$(GO) test -race -count=1 -run 'Outbox|MailBatch|SlowPeer|RedistributeMail' ./internal/node ./internal/transport

@@ -69,7 +69,7 @@ func (d *daemon) startAdmin(addr string) error {
 			UptimeSeconds: time.Since(started).Seconds(),
 			Members:       len(epidemic.Members(n.Store())),
 			Peers:         len(n.Peers()),
-			HotRumors:     len(n.HotEntries()),
+			HotRumors:     n.HotCount(),
 			StoreKeys:     n.Store().Len(),
 		}
 		if st := d.status.Load(); st != nil && len(st.Stalls) > 0 {

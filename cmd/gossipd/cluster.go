@@ -203,7 +203,7 @@ func (d *daemon) selfDigest(now, staleAfter int64) epidemic.ClusterDigest {
 		StartedAt:    d.started.UnixNano(),
 		StoreKeys:    int64(n.Store().Len()),
 		Checksum:     n.Store().Checksum(),
-		HotRumors:    int64(len(n.HotEntries())),
+		HotRumors:    int64(n.HotCount()),
 		Peers:        int64(len(n.Peers())),
 		Members:      int64(members),
 		AERuns:       int64(st.AntiEntropyRuns),

@@ -392,12 +392,31 @@ func (d *daemon) instrument(logger *slog.Logger) {
 	if logger != nil {
 		d.srv.SetLogger(logger.With("site", int(d.node.Site()), "component", "transport"))
 	}
+	// The observer runs on every gossip request served, so each kind's
+	// series are registered once and their handles reused: a registry
+	// lookup builds a label key per call.
+	type requestSeries struct {
+		served  *epidemic.Counter
+		seconds *epidemic.Histogram
+	}
+	var mu sync.Mutex
+	byKind := make(map[string]requestSeries)
 	d.srv.SetObserver(func(kind string, dur time.Duration) {
-		label := epidemic.MetricLabel{Name: "kind", Value: kind}
-		d.reg.Counter(epidemic.MetricTransportRequests,
-			"Gossip requests served, by request kind.", label).Inc()
-		d.reg.Histogram(epidemic.MetricTransportSeconds,
-			"Gossip request handling duration in seconds.", nil, label).Observe(dur.Seconds())
+		mu.Lock()
+		rs, ok := byKind[kind]
+		if !ok {
+			label := epidemic.MetricLabel{Name: "kind", Value: kind}
+			rs = requestSeries{
+				served: d.reg.Counter(epidemic.MetricTransportRequests,
+					"Gossip requests served, by request kind.", label),
+				seconds: d.reg.Histogram(epidemic.MetricTransportSeconds,
+					"Gossip request handling duration in seconds.", nil, label),
+			}
+			byKind[kind] = rs
+		}
+		mu.Unlock()
+		rs.served.Inc()
+		rs.seconds.Observe(dur.Seconds())
 	})
 	epidemic.InstrumentWire(d.reg, d.wire)
 }

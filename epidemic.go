@@ -143,6 +143,8 @@ type (
 	MetricsRegistry = obs.Registry
 	// MetricLabel is one name=value label on a metric series.
 	MetricLabel = obs.Label
+	// Counter is a monotonically increasing metric.
+	Counter = obs.Counter
 	// Histogram is a metrics histogram with fixed upper bounds.
 	Histogram = obs.Histogram
 	// EventRing is the bounded buffer of recent node events behind the

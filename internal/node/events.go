@@ -20,7 +20,8 @@ const (
 	EventRedistribute
 	// EventGC : death-certificate expiry ran.
 	EventGC
-	// EventMailFailed : a direct-mail posting failed outright.
+	// EventMailFailed : a direct-mail posting failed outright. Count is
+	// the entries in the failed send; the outbox re-queues them.
 	EventMailFailed
 	// EventUpdate : a client write (update or delete) was accepted at this
 	// replica — the update's origination, time zero of its propagation.

@@ -2,6 +2,7 @@ package node
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,13 +131,32 @@ func TestMailFailureEvent(t *testing.T) {
 		t.Fatalf("unexpected mail failures: %+v", got)
 	}
 
-	ep := &erroringPeer{id: 3}
+	// A peer whose sends fail outright: the failure is reported, and the
+	// entry waits in the queue until the peer recovers.
+	c, err := New(Config{Site: 3, Clock: src.ClockAt(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var down atomic.Bool
+	down.Store(true)
+	ep := &scriptedPeer{LocalPeer: NewLocalPeer(c, 3), fail: func(int) bool { return down.Load() }}
 	a.SetPeers([]Peer{ep})
 	a.Update("k2", store.Value("v"))
-	a.FlushMail(0) // wait for the drain; the failed batch is dropped, not retried
-	if got := rec.byKind(EventMailFailed); len(got) != 1 || got[0].Peer != 3 || got[0].Count != 1 {
+	deadline := time.Now().Add(5 * time.Second)
+	for len(rec.byKind(EventMailFailed)) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := rec.byKind(EventMailFailed); len(got) == 0 || got[0].Peer != 3 || got[0].Count != 1 {
 		t.Fatalf("mail failure events = %+v", got)
 	}
+	down.Store(false)
+	if !a.FlushMail(5 * time.Second) {
+		t.Fatal("flush never completed after the peer recovered")
+	}
+	if _, ok := c.Lookup("k2"); !ok {
+		t.Fatal("the failed entry was not delivered once the peer recovered")
+	}
+	a.Stop()
 }
 
 // TestUpdateAndApplyEvents walks every origination/infection emission

@@ -67,7 +67,9 @@ type Config struct {
 	// Resolve selects the anti-entropy conversation parameters.
 	Resolve core.ResolveConfig
 	// DirectMailOnUpdate mails each locally accepted update to all peers
-	// immediately (§1.2). Rumor mongering makes this optional.
+	// immediately (§1.2) instead of making it a hot rumor; only mail this
+	// node knows was lost becomes a rumor. False spreads every update by
+	// rumor mongering alone (§1.4).
 	DirectMailOnUpdate bool
 	// Outbox tunes the asynchronous outbound mail engine that direct mail
 	// and RedistributeMail ride: Update/Delete enqueue in O(1) and a
@@ -150,7 +152,8 @@ type Node struct {
 type Stats struct {
 	// UpdatesAccepted counts local client writes (updates and deletes).
 	UpdatesAccepted int `json:"updates_accepted"`
-	// MailSent and MailFailed count direct-mail postings.
+	// MailSent counts direct-mail entries delivered; MailFailed counts
+	// entries in failed sends, once per attempt (the outbox retries them).
 	MailSent   int `json:"mail_sent"`
 	MailFailed int `json:"mail_failed"`
 	// AntiEntropyRuns and RumorRuns count protocol rounds executed.
@@ -176,8 +179,10 @@ type Stats struct {
 	// Outbox engine counters (all zero when the engine is disabled):
 	// entries enqueued to peer send queues, enqueues absorbed by
 	// newest-stamp-wins coalescing, entries dropped (queue overflow,
-	// departed peers, shutdown), batches drained onto the wire, and the
-	// current queue depth across all peers.
+	// departed peers, shutdown, a failed entry superseded by a newer queued
+	// version), batches drained onto the wire, and the current queue depth
+	// across all peers. A retried entry is not enqueued again, so at
+	// quiescence OutboxEnqueued = MailSent + OutboxDropped + OutboxDepth.
 	OutboxEnqueued  int `json:"outbox_enqueued"`
 	OutboxCoalesced int `json:"outbox_coalesced"`
 	OutboxDropped   int `json:"outbox_dropped"`
@@ -383,13 +388,20 @@ func (n *Node) Delete(key string) store.Entry {
 // Lookup reads the current value at this replica.
 func (n *Node) Lookup(key string) (store.Value, bool) { return n.store.Lookup(key) }
 
-// distribute makes a fresh local entry hot and optionally direct-mails it.
-// With the outbox engine on, the mail cost is an O(1) enqueue per peer —
-// the caller never waits on the network (§1.2's queued mail).
+// distribute spreads a fresh local entry: by direct mail to every peer
+// when DirectMailOnUpdate is set, otherwise as a hot rumor (§1.4). A
+// mailed entry is not made hot — pushing it to sites the mail reaches
+// would only make unnecessary contacts; mail the sender knows was lost
+// becomes a rumor instead (rumorLostMail), and silent loss is left to
+// anti-entropy, as in §1.2. With the outbox engine on, the mail cost is
+// an O(1) enqueue per peer — the caller never waits on the network
+// (§1.2's queued mail).
 func (n *Node) distribute(e store.Entry) {
 	n.mu.Lock()
 	n.stats.UpdatesAccepted++
-	n.hot.Add(e.Key, e.Stamp)
+	if !n.cfg.DirectMailOnUpdate {
+		n.hot.Add(e.Key, e.Stamp)
+	}
 	if n.activity != nil {
 		n.activity.Touch(e.Key)
 	}
@@ -413,7 +425,8 @@ func (n *Node) distribute(e store.Entry) {
 }
 
 // mailSerial is the engine-disabled mail path: post to every peer on the
-// caller's goroutine. Must be called without n.mu held.
+// caller's goroutine. With no queue to retry from, an entry whose mail
+// failed becomes a hot rumor. Must be called without n.mu held.
 func (n *Node) mailSerial(peers []Peer, e store.Entry, env trace.Hop) {
 	sent, failed := 0, 0
 	for _, p := range peers {
@@ -428,13 +441,31 @@ func (n *Node) mailSerial(peers []Peer, e store.Entry, env trace.Hop) {
 	n.mu.Lock()
 	n.stats.MailSent += sent
 	n.stats.MailFailed += failed
+	if failed > 0 {
+		n.hot.Add(e.Key, e.Stamp)
+	}
+	n.mu.Unlock()
+}
+
+// rumorLostMail makes entries whose mail the outbox gave up on (queue
+// overflow, a peer that left the membership) hot rumors at this origin,
+// so rumor rounds carry them to the sites the mail missed. Must be called
+// without n.mu held.
+func (n *Node) rumorLostMail(entries []store.Entry) {
+	if len(entries) == 0 {
+		return
+	}
+	n.mu.Lock()
+	for _, e := range entries {
+		n.hot.Add(e.Key, e.Stamp)
+	}
 	n.mu.Unlock()
 }
 
 // noteMailResult records the outcome of one outbox drain: sent/failed
-// counters plus one EventMailFailed per failed peer batch (Count carries
-// the entries lost with it). Called from outbox workers without any locks
-// held.
+// counters plus one EventMailFailed per failed peer send (Count carries the
+// entries that did not get through; the outbox re-queues them). Called
+// from outbox workers without any locks held.
 func (n *Node) noteMailResult(peer timestamp.SiteID, sent, failed int, err error) {
 	n.mu.Lock()
 	n.stats.MailSent += sent
@@ -458,14 +489,15 @@ func (n *Node) FlushMail(timeout time.Duration) bool {
 	return n.outbox.flush(timeout)
 }
 
-// HandleMail is the receive side of PostMail: apply the update; a fresh
-// update also becomes a hot rumor here. hop is the sender's provenance
-// envelope (zero when the sender does not trace).
+// HandleMail is the receive side of PostMail: apply the update. Unlike a
+// rumor, mail does not make the update hot here: the origin mails every
+// site it knows, so a receiver re-spreading it would only make unnecessary
+// contacts. hop is the sender's provenance envelope (zero when the sender
+// does not trace).
 func (n *Node) HandleMail(e store.Entry, hop trace.Hop) {
 	res := n.store.Apply(e)
 	if res.Changed() {
 		n.mu.Lock()
-		n.hot.Add(e.Key, e.Stamp)
 		if n.activity != nil {
 			n.activity.Touch(e.Key)
 		}
@@ -477,9 +509,9 @@ func (n *Node) HandleMail(e store.Entry, hop trace.Hop) {
 }
 
 // HandleMailBatch is the receive side of a batched mail frame: every entry
-// is applied exactly like HandleMail (fresh updates become hot rumors),
-// with the whole batch sharing one lock acquisition for the hot-list and
-// activity bookkeeping. needed[i] reports whether entry i changed this
+// is applied exactly like HandleMail (fresh updates are not made hot),
+// with the whole batch sharing one lock acquisition for the activity
+// bookkeeping. needed[i] reports whether entry i changed this
 // replica. The batch's sender-side telemetry feeds the mail stats.
 func (n *Node) HandleMailBatch(b MailBatch) []bool {
 	needed := n.applyRumors(b.Entries, b.Hops, trace.MechDirectMail)
@@ -530,10 +562,14 @@ func (n *Node) applyRumors(entries []store.Entry, hops []trace.Hop, mech trace.M
 	if len(applied) > 0 {
 		// One lock acquisition for the whole batch: a 64-entry push used to
 		// take and release n.mu 64 times here, serializing against every
-		// concurrent Update and Stats call.
+		// concurrent Update and Stats call. Rumors make fresh entries hot
+		// (§1.4); mail does not (see HandleMail).
+		hot := mech != trace.MechDirectMail
 		n.mu.Lock()
 		for i := range applied {
-			n.hot.Add(applied[i].key, applied[i].stamp)
+			if hot {
+				n.hot.Add(applied[i].key, applied[i].stamp)
+			}
 			if n.activity != nil {
 				n.activity.Touch(applied[i].key)
 			}
@@ -626,6 +662,16 @@ func (n *Node) HotEntries() []store.Entry {
 		out = append(out, e)
 	}
 	return out
+}
+
+// HotCount returns the number of hot rumors without copying, sorting or
+// pruning them — for callers that only count, such as metrics, so that
+// reading a gauge does not change rumor state. Superseded rumors that
+// HotEntries would drop are still counted.
+func (n *Node) HotCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.hot.Len()
 }
 
 // HotEntriesTraced returns the hot rumors plus one provenance envelope per

@@ -82,9 +82,11 @@ func TestDirectMailDelivers(t *testing.T) {
 	if a.Stats().MailSent != 1 {
 		t.Fatalf("MailSent = %d", a.Stats().MailSent)
 	}
-	// The mailed update is hot at the recipient too.
-	if len(b.HotEntries()) != 1 {
-		t.Fatal("mailed update should be hot at recipient")
+	// Acknowledged mail reached every site the origin knows, so neither
+	// side spreads it again as a rumor.
+	if a.HotCount() != 0 || b.HotCount() != 0 {
+		t.Fatalf("hot after acknowledged mail: origin %d, recipient %d; want 0 and 0",
+			a.HotCount(), b.HotCount())
 	}
 }
 

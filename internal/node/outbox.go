@@ -17,9 +17,11 @@ import (
 // gives every peer a bounded send queue with newest-stamp-wins coalescing
 // per key, drained by a small worker pool that fans out to all peers in
 // parallel and ships each drain as one batched frame when the peer's wire
-// supports it. A failing peer backs off exponentially and its queue drops
+// supports it. A failed send goes back to the head of its peer's queue and
+// is retried when the peer's exponential backoff expires. A queue drops
 // oldest on overflow, the paper's "messages may be discarded when queues
-// overflow" made literal.
+// overflow" made literal; since the sender knows that mail is lost, the
+// dropped entry becomes a hot rumor at the origin instead.
 
 // OutboxConfig tunes the asynchronous outbound mail engine. Zero values
 // select the defaults noted per field.
@@ -30,11 +32,14 @@ type OutboxConfig struct {
 	// deterministic simulation and comparison benchmarks.
 	Workers int
 	// QueuePerPeer bounds the coalesced entries queued per peer (default
-	// 256). On overflow the oldest queued entry is dropped.
+	// 256). On overflow the oldest queued entry is dropped and becomes a
+	// hot rumor at this node.
 	QueuePerPeer int
 	// RetryBackoff is the delay before a peer whose send failed is drained
 	// again (default 50ms), doubling per consecutive failure up to
-	// MaxBackoff (default 5s). While backed off a peer consumes no worker.
+	// MaxBackoff (default 5s). The failed entries wait at the head of the
+	// peer's queue and go out first in that retry. While backed off a peer
+	// consumes no worker.
 	RetryBackoff time.Duration
 	MaxBackoff   time.Duration
 	// FlushTimeout bounds the graceful drain on Stop (default 2s); queues
@@ -157,10 +162,11 @@ func newOutbox(cfg OutboxConfig, n *Node) *outbox {
 // setPeers rebuilds the queue set for a new peer list. Queues of surviving
 // sites keep their pending mail (the peer object may have been replaced by
 // a membership sync; mail follows the site, not the connection); queues of
-// departed sites are discarded, their entries counted as dropped.
+// departed sites are discarded, their entries counted as dropped and made
+// hot rumors at this node.
 func (ox *outbox) setPeers(peers []Peer) {
 	ox.mu.Lock()
-	defer ox.mu.Unlock()
+	var lost []store.Entry
 	next := make(map[timestamp.SiteID]*peerQueue, len(peers))
 	for _, p := range peers {
 		if q, ok := ox.queues[p.ID()]; ok {
@@ -172,17 +178,23 @@ func (ox *outbox) setPeers(peers []Peer) {
 		next[p.ID()] = newPeerQueue(p)
 	}
 	for _, q := range ox.queues { // departed sites
+		for _, k := range q.keys {
+			lost = append(lost, q.byKey[k].entry)
+		}
 		ox.pending -= len(q.keys)
 		ox.dropped.Add(int64(len(q.keys)))
 	}
 	ox.queues = next
 	ox.cond.Broadcast() // pending may have reached zero for Flush waiters
+	ox.mu.Unlock()
+	ox.node.rumorLostMail(lost)
 }
 
 // enqueue queues one entry to every peer, coalescing per key: a version
 // already queued for a peer is replaced in place when e is newer (and
 // keeps its queue position), absorbed when older. O(peers) map work, no
 // network — this is the whole cost Update/Delete pay for distribution.
+// Entries an overflow pushes out become hot rumors at this node.
 func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 	ox.mu.Lock()
 	if ox.stopped {
@@ -191,6 +203,7 @@ func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 	}
 	ox.startWorkersLocked()
 	now := time.Now()
+	var lost []store.Entry
 	for _, q := range ox.queues {
 		if old, ok := q.byKey[e.Key]; ok {
 			if old.entry.Stamp.Less(e.Stamp) {
@@ -200,20 +213,56 @@ func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 			ox.coalesced.Add(1)
 			continue
 		}
-		if len(q.keys) >= ox.cfg.QueuePerPeer {
-			oldest := q.keys[0]
-			q.keys = q.keys[1:]
-			delete(q.byKey, oldest)
-			ox.pending--
-			ox.dropped.Add(1)
-		}
 		q.keys = append(q.keys, e.Key)
 		q.byKey[e.Key] = outEntry{entry: e, hop: hop, enq: now}
 		ox.pending++
 		ox.enqueued.Add(1)
+		lost = ox.trimLocked(q, lost)
 		ox.scheduleLocked(q, now)
 	}
 	ox.mu.Unlock()
+	ox.node.rumorLostMail(lost)
+}
+
+// trimLocked drops q's oldest entries until it fits QueuePerPeer,
+// appending each dropped entry to lost.
+func (ox *outbox) trimLocked(q *peerQueue, lost []store.Entry) []store.Entry {
+	for len(q.keys) > ox.cfg.QueuePerPeer {
+		oldest := q.keys[0]
+		q.keys = q.keys[1:]
+		lost = append(lost, q.byKey[oldest].entry)
+		delete(q.byKey, oldest)
+		ox.pending--
+		ox.dropped.Add(1)
+	}
+	return lost
+}
+
+// requeueLocked puts the entries of a failed send back at the head of q,
+// in their original order, so the retry after backoff sends them first.
+// A key queued again while the send was in flight keeps whichever version
+// is newer in its queue slot; the older one counts as dropped and is not
+// spread any other way, since the newer version will be. Re-queued entries
+// are not counted as enqueued again, and keep the batch's oldest enqueue
+// time. Entries the queue bound then pushes out are returned as lost.
+func (ox *outbox) requeueLocked(q *peerQueue, b MailBatch, now time.Time) []store.Entry {
+	enq := now.Add(-time.Duration(b.QueuedNanos))
+	q.coalesced += b.Coalesced
+	head := make([]string, 0, len(b.Entries)+len(q.keys))
+	for i, e := range b.Entries {
+		if cur, ok := q.byKey[e.Key]; ok {
+			if cur.entry.Stamp.Less(e.Stamp) {
+				q.byKey[e.Key] = outEntry{entry: e, hop: hopAt(b.Hops, i), enq: cur.enq}
+			}
+			ox.dropped.Add(1)
+			continue
+		}
+		head = append(head, e.Key)
+		q.byKey[e.Key] = outEntry{entry: e, hop: hopAt(b.Hops, i), enq: enq}
+		ox.pending++
+	}
+	q.keys = append(head, q.keys...)
+	return ox.trimLocked(q, nil)
 }
 
 // scheduleLocked puts q on the run queue unless it is already there (or
@@ -311,15 +360,29 @@ func (ox *outbox) worker() {
 		peer := q.peer // setPeers may swap it once ox.mu is released
 		ox.mu.Unlock()
 
-		sent, failed, err := sendBatch(peer, batch)
+		unsent, err := sendBatch(peer, batch)
 		ox.batches.Add(1)
-		ox.node.noteMailResult(peer.ID(), sent, failed, err)
+		failed := len(unsent.Entries)
+		ox.node.noteMailResult(peer.ID(), len(batch.Entries)-failed, failed, err)
 
 		ox.mu.Lock()
 		ox.inflight--
 		// A replaced queue (membership change mid-send) is abandoned: its
-		// successor schedules itself on the next enqueue.
+		// successor schedules itself on the next enqueue, and what failed
+		// to reach the departed site is lost mail.
 		current := ox.queues[peer.ID()] == q
+		var lost []store.Entry
+		if failed > 0 {
+			switch {
+			case ox.stopped: // stop already dropped what was queued
+				ox.dropped.Add(int64(failed))
+			case !current:
+				ox.dropped.Add(int64(failed))
+				lost = unsent.Entries
+			default:
+				lost = ox.requeueLocked(q, unsent, time.Now())
+			}
+		}
 		if err != nil {
 			if q.backoff == 0 {
 				q.backoff = ox.cfg.RetryBackoff
@@ -340,30 +403,38 @@ func (ox *outbox) worker() {
 			}
 		}
 		ox.cond.Broadcast() // progress for Flush waiters
+		if len(lost) > 0 {
+			ox.mu.Unlock()
+			ox.node.rumorLostMail(lost)
+			ox.mu.Lock()
+		}
 	}
 }
 
 // sendBatch ships one batch to one peer: a single round trip when the
-// peer batches, per-entry Mail otherwise. Attribution is all-or-nothing
-// for batching peers — a failed frame counts every entry as failed.
-func sendBatch(p Peer, b MailBatch) (sent, failed int, err error) {
+// peer batches, per-entry Mail otherwise. It returns the entries that did
+// not get through, for the caller to re-queue. Attribution is
+// all-or-nothing for batching peers — a failed frame returns all of b.
+func sendBatch(p Peer, b MailBatch) (unsent MailBatch, err error) {
 	if bm, ok := p.(BatchMailer); ok {
 		if err := bm.MailBatch(b); err != nil {
-			return 0, len(b.Entries), err
+			return b, err
 		}
-		return len(b.Entries), 0, nil
+		return MailBatch{}, nil
 	}
+	unsent.QueuedNanos = b.QueuedNanos
 	for i, e := range b.Entries {
 		if merr := p.Mail(e, hopAt(b.Hops, i)); merr != nil {
-			failed++
+			unsent.Entries = append(unsent.Entries, e)
+			if b.Hops != nil {
+				unsent.Hops = append(unsent.Hops, hopAt(b.Hops, i))
+			}
 			if err == nil {
 				err = merr
 			}
-			continue
 		}
-		sent++
 	}
-	return sent, failed, err
+	return unsent, err
 }
 
 // flush blocks until every queue has drained and every in-flight send has

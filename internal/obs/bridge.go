@@ -102,7 +102,7 @@ func InstrumentNode(reg *Registry, n *node.Node, opts ObserveOptions) func(node.
 		func(s node.Stats) int { return s.UpdatesAccepted })
 	counter(MetricMailSent, "Direct-mail postings delivered (PostMail, §1.2).",
 		func(s node.Stats) int { return s.MailSent })
-	counter(MetricMailFailures, "Direct-mail postings that failed outright.",
+	counter(MetricMailFailures, "Direct-mail postings that failed outright (one per entry per failed send; the outbox retries them).",
 		func(s node.Stats) int { return s.MailFailed })
 	counter(MetricAntiEntropyRuns, "Anti-entropy conversations executed (§1.3).",
 		func(s node.Stats) int { return s.AntiEntropyRuns })
@@ -124,7 +124,7 @@ func InstrumentNode(reg *Registry, n *node.Node, opts ObserveOptions) func(node.
 		func(s node.Stats) int { return s.OutboxEnqueued })
 	counter(MetricOutboxCoalesced, "Outbox enqueues absorbed by newest-stamp-wins coalescing.",
 		func(s node.Stats) int { return s.OutboxCoalesced })
-	counter(MetricOutboxDropped, "Outbox entries dropped (queue overflow, departed peers, shutdown).",
+	counter(MetricOutboxDropped, "Outbox entries dropped (queue overflow, departed peers, shutdown, a retry superseded by a newer queued version).",
 		func(s node.Stats) int { return s.OutboxDropped })
 	counter(MetricOutboxBatches, "Outbox drains posted to peers (batched or per-entry).",
 		func(s node.Stats) int { return s.OutboxBatches })
@@ -134,7 +134,7 @@ func InstrumentNode(reg *Registry, n *node.Node, opts ObserveOptions) func(node.
 		func() float64 { return float64(n.Stats().OutboxDepth) }, labels...)
 
 	reg.GaugeFunc(MetricHotRumors, "Updates currently on the hot-rumor (infective) list.",
-		func() float64 { return float64(len(n.HotEntries())) }, labels...)
+		func() float64 { return float64(n.HotCount()) }, labels...)
 	reg.GaugeFunc(MetricPeers, "Peers currently in the replica's partner set.",
 		func() float64 { return float64(len(n.Peers())) }, labels...)
 	reg.GaugeFunc(MetricStoreKeys, "Keys held by the replica, death certificates included.",
